@@ -13,7 +13,7 @@
 
 use ftjvm::netsim::{FailureDetector, FaultPlan, SimTime, WireCodec};
 use ftjvm::workloads::{micro, Workload};
-use ftjvm::{CheckpointPlan, FtConfig, FtJvm, LagBudget, PairReport, ReplicationMode};
+use ftjvm::{CheckpointPlan, FtConfig, FtJvm, LagBudget, LockVariant, PairReport, ReplicationMode};
 
 /// One pinned configuration's observable fingerprint.
 #[derive(Debug, PartialEq, Eq)]
@@ -65,11 +65,18 @@ fn crash_fault(name: &str) -> FaultPlan {
 fn run_case(
     w: &Workload,
     mode: ReplicationMode,
+    lock_variant: LockVariant,
     lag_budget: LagBudget,
     codec: WireCodec,
 ) -> Digest {
-    let cfg =
-        FtConfig { mode, codec, lag_budget, fault: crash_fault(w.name), ..FtConfig::default() };
+    let cfg = FtConfig {
+        mode,
+        lock_variant,
+        codec,
+        lag_budget,
+        fault: crash_fault(w.name),
+        ..FtConfig::default()
+    };
     let report = FtJvm::new(w.program.clone(), cfg)
         .run_with_failure()
         .unwrap_or_else(|e| panic!("{} {mode} {lag_budget} {codec:?}: {e}", w.name));
@@ -87,15 +94,34 @@ fn matrix(w: &Workload) -> Vec<(String, Digest)> {
         for lag in [LagBudget::Cold, LagBudget::Hot] {
             for codec in [WireCodec::Fixed, WireCodec::Compact] {
                 let key = format!("{}/{mode}/{lag}/{codec:?}", w.name);
-                out.push((key, run_case(w, mode, lag, codec)));
+                out.push((key, run_case(w, mode, LockVariant::PerAcquisition, lag, codec)));
             }
         }
     }
     out
 }
 
+/// The interval variant's four pinned configurations per workload:
+/// cold/hot × fixed/compact under interval-compressed lock-sync. Captured
+/// while each technique still had its own coordinator types, so they pin
+/// the merged coordinators to the old per-technique behavior.
+fn interval_matrix(w: &Workload) -> Vec<(String, Digest)> {
+    let mut out = Vec::new();
+    for lag in [LagBudget::Cold, LagBudget::Hot] {
+        for codec in [WireCodec::Fixed, WireCodec::Compact] {
+            let key = format!("{}/intervals/{lag}/{codec:?}", w.name);
+            let d = run_case(w, ReplicationMode::LockSync, LockVariant::Intervals, lag, codec);
+            out.push((key, d));
+        }
+    }
+    out
+}
+
 fn check_workload(w: &Workload, pinned: &[(&str, Digest)]) {
-    let got = matrix(w);
+    check_pinned(w, matrix(w), pinned);
+}
+
+fn check_pinned(w: &Workload, got: Vec<(String, Digest)>, pinned: &[(&str, Digest)]) {
     assert_eq!(got.len(), pinned.len(), "{}: matrix size", w.name);
     for ((key, d), (pkey, pd)) in got.iter().zip(pinned) {
         assert_eq!(key, pkey, "{}: case order", w.name);
@@ -147,8 +173,27 @@ fn generate_digests() {
             );
         }
     }
-    let d = reintegration_digest();
+    for w in [ftjvm::workloads::db::workload(), ftjvm::workloads::jack::workload()] {
+        for (key, d) in interval_matrix(&w) {
+            println!(
+                "pinned!(\"{key}\", {:#x}, {}, {}, {}, {}, {}, {}, {}, {}, {}),",
+                d.console_crc,
+                d.console_lines,
+                d.messages_logged,
+                d.bytes_logged,
+                d.flushes,
+                d.heartbeats,
+                d.crashed,
+                d.detection_ns,
+                d.replay_ns,
+                d.failover_ns
+            );
+        }
+    }
+    let d = reintegration_digest(ReplicationMode::ThreadSched, LockVariant::PerAcquisition);
     println!("reintegration: ({:#x}, {}, {}, {}, {}, {})", d.0, d.1, d.2, d.3, d.4, d.5);
+    let d = reintegration_digest(ReplicationMode::LockSync, LockVariant::Intervals);
+    println!("interval reintegration: ({:#x}, {}, {}, {}, {}, {})", d.0, d.1, d.2, d.3, d.4, d.5);
 }
 
 #[test]
@@ -829,6 +874,133 @@ fn mtrt_pinned() {
     );
 }
 
+/// Interval-compressed lock-sync, the variant the main matrix skips.
+#[test]
+fn db_intervals_pinned() {
+    let w = ftjvm::workloads::db::workload();
+    check_pinned(
+        &w,
+        interval_matrix(&w),
+        &[
+            pinned!(
+                "db/intervals/cold/Fixed",
+                0x955d550f,
+                7,
+                61,
+                1960,
+                2,
+                3,
+                true,
+                127835750,
+                102274570,
+                230110320
+            ),
+            pinned!(
+                "db/intervals/cold/Compact",
+                0x955d550f,
+                7,
+                61,
+                416,
+                2,
+                3,
+                true,
+                128874050,
+                102274570,
+                231148620
+            ),
+            pinned!(
+                "db/intervals/hot/Fixed",
+                0x955d550f,
+                7,
+                61,
+                1960,
+                2,
+                3,
+                true,
+                127807650,
+                0,
+                127807650
+            ),
+            pinned!(
+                "db/intervals/hot/Compact",
+                0x955d550f,
+                7,
+                61,
+                416,
+                2,
+                3,
+                true,
+                128849070,
+                0,
+                128849070
+            ),
+        ],
+    );
+}
+
+#[test]
+fn jack_intervals_pinned() {
+    let w = ftjvm::workloads::jack::workload();
+    check_pinned(
+        &w,
+        interval_matrix(&w),
+        &[
+            pinned!(
+                "jack/intervals/cold/Fixed",
+                0x540b480f,
+                2,
+                548,
+                92410,
+                21,
+                2,
+                true,
+                123502540,
+                52752010,
+                176254550
+            ),
+            pinned!(
+                "jack/intervals/cold/Compact",
+                0x540b480f,
+                2,
+                548,
+                31896,
+                17,
+                2,
+                true,
+                138440080,
+                30483110,
+                168923190
+            ),
+            pinned!(
+                "jack/intervals/hot/Fixed",
+                0x540b480f,
+                2,
+                548,
+                92410,
+                21,
+                2,
+                true,
+                123502540,
+                0,
+                123502540
+            ),
+            pinned!(
+                "jack/intervals/hot/Compact",
+                0x540b480f,
+                2,
+                548,
+                31896,
+                17,
+                2,
+                true,
+                138416100,
+                0,
+                138416100
+            ),
+        ],
+    );
+}
+
 // --- Random-fault-plan property: wrapper behavior preservation ------------
 //
 // For arbitrary fault plans there is no pre-captured digest; the property
@@ -886,10 +1058,14 @@ mod prop {
 /// checkpointed driver path. Fingerprint: console CRC plus the timeline
 /// instants the driver decided (kill, degraded entry, re-integration) and
 /// the final failover latency.
-fn reintegration_digest() -> (u32, u64, u64, u64, u64, u64) {
+fn reintegration_digest(
+    mode: ReplicationMode,
+    lock_variant: LockVariant,
+) -> (u32, u64, u64, u64, u64, u64) {
     let w = micro::file_journal(200);
     let cfg = FtConfig {
-        mode: ReplicationMode::ThreadSched,
+        mode,
+        lock_variant,
         lag_budget: LagBudget::Hot,
         checkpoint_interval: Some(3),
         detector: FailureDetector::new(SimTime::from_millis(1), 2),
@@ -918,8 +1094,24 @@ fn reintegration_digest() -> (u32, u64, u64, u64, u64, u64) {
 
 #[test]
 fn reintegration_case_pinned() {
-    assert_eq!(reintegration_digest(), REINTEGRATION_PINNED, "checkpointed driver diverged");
+    assert_eq!(
+        reintegration_digest(ReplicationMode::ThreadSched, LockVariant::PerAcquisition),
+        REINTEGRATION_PINNED,
+        "checkpointed driver diverged"
+    );
+}
+
+#[test]
+fn interval_reintegration_case_pinned() {
+    assert_eq!(
+        reintegration_digest(ReplicationMode::LockSync, LockVariant::Intervals),
+        INTERVAL_REINTEGRATION_PINNED,
+        "checkpointed interval driver diverged"
+    );
 }
 
 const REINTEGRATION_PINNED: (u32, u64, u64, u64, u64, u64) =
     (0x105b2e99, 1, 11073168, 13073168, 17216009, 1390846);
+
+const INTERVAL_REINTEGRATION_PINNED: (u32, u64, u64, u64, u64, u64) =
+    (0x105b2e99, 1, 11045920, 13045920, 17175270, 1227160);
