@@ -6,19 +6,19 @@
 //!    intervals ("four orders of magnitude fewer events").
 //! 2. **Flush policy**: log-buffer threshold vs communication overhead vs
 //!    the record window lost at a crash.
-//! 3. **Warm vs cold backup**: failover latency decomposition.
+//! 3. **Hot vs cold backup**: failover latency decomposition.
 //! 4. **Timeslice**: quantum length vs schedule records transmitted (TS).
 //!
 //! Run: `cargo run -p ftjvm-bench --release --bin ablations`
 
 use ftjvm_bench::bench_config;
-use ftjvm_core::{FtConfig, FtJvm, LockVariant, ReplicationMode, WireCodec};
+use ftjvm_core::{FtConfig, FtJvm, LagBudget, LockVariant, ReplicationMode, WireCodec};
 use ftjvm_netsim::{Category, FaultPlan};
 
 fn main() {
     interval_compression();
     flush_policy();
-    warm_backup();
+    hot_backup();
     timeslice();
     wire_codec();
 }
@@ -86,11 +86,11 @@ fn flush_policy() {
     println!("(smaller buffers lose fewer records at a crash but flush more often)\n");
 }
 
-fn warm_backup() {
-    println!("== Ablation 3: warm vs cold backup (failover latency) ==");
+fn hot_backup() {
+    println!("== Ablation 3: hot vs cold backup (failover latency) ==");
     println!(
         "{:10} {:>14} {:>14} {:>14} {:>14}",
-        "benchmark", "detection", "replay (cold)", "failover cold", "failover warm"
+        "benchmark", "detection", "replay (cold)", "failover cold", "failover hot"
     );
     for w in ftjvm_workloads::spec_suite() {
         // Crash roughly mid-run.
@@ -99,10 +99,9 @@ fn warm_backup() {
         let mid = base.counters.instructions / 2;
         let mut cold = bench_config(ReplicationMode::LockSync);
         cold.fault = FaultPlan::AfterInstructions(mid);
-        let mut warm = cold.clone();
-        warm.warm_backup = true;
+        let hot = FtConfig { lag_budget: LagBudget::Hot, ..cold.clone() };
         let c = FtJvm::new(w.program.clone(), cold).run_with_failure().expect("cold");
-        let h = FtJvm::new(w.program.clone(), warm).run_with_failure().expect("warm");
+        let h = FtJvm::new(w.program.clone(), hot).run_with_failure().expect("hot");
         println!(
             "{:10} {:>14} {:>14} {:>14} {:>14}",
             w.name,
@@ -112,7 +111,10 @@ fn warm_backup() {
             h.failover_latency.to_string(),
         );
     }
-    println!("(the paper's cold backup pays the replay at failover; a warm one already has)\n");
+    println!(
+        "(the paper's cold backup pays the whole replay at failover; a hot standby \
+         co-executes and replays only the unconsumed suffix)\n"
+    );
 }
 
 fn timeslice() {

@@ -1,29 +1,27 @@
 //! The backup-side recovery runtime: the received log, the shared
-//! non-deterministic-native replay, and the two recovery coordinators.
+//! non-deterministic-native replay, and the one recovery coordinator.
 //!
 //! The backup is *cold* (§1): during normal operation it only stores the
 //! primary's records. On failure it re-executes the program from the
 //! initial state, using the log to make every non-deterministic choice the
-//! way the primary made it:
+//! way the primary made it. A `Backup` pairs two parts:
 //!
-//! * [`LockSyncBackup`] reproduces the primary's per-lock acquisition
-//!   order from lock-acquisition records and id maps (§4.2), including the
-//!   end-of-log rules for threads that run past their logged history;
-//! * [`TsBackup`] reproduces the primary's thread schedule from schedule
-//!   records, stopping each thread at exactly the recorded
-//!   `(br_cnt, pc_off, mon_cnt)` point — including preemptions inside
-//!   native methods, replayed via `mon_cnt` — and scheduling the recorded
-//!   next thread (§4.2);
-//! * [`NativeReplay`] (shared) imposes logged ND native results, suppresses
-//!   already-performed outputs, `test`s the uncertain last output, and
-//!   hands out fresh output ids once execution passes the end of the log
-//!   (§3.4, §4.1).
+//! * [`NativeReplay`] (shared by every technique) imposes logged ND native
+//!   results, suppresses already-performed outputs, `test`s the uncertain
+//!   last output, and hands out fresh output ids once execution passes the
+//!   end of the log (§3.4, §4.1);
+//! * `ReplayOrder` is the order the technique enforces (§4.2): per-lock
+//!   acquisition order from lock-acquisition records and id maps, the total
+//!   acquisition order of lock intervals, or the primary's thread schedule,
+//!   stopping each thread at exactly the recorded `(br_cnt, pc_off,
+//!   mon_cnt)` point.
 
 use crate::codec::{
-    decode_frames_pipelined, frame_is_epoch_mark, frame_is_heartbeat, frame_is_snapshot_chunk,
-    open_frame, parse_epoch_frame, RecordDecoder, SnapshotAssembler,
+    frame_is_epoch_mark, frame_is_heartbeat, frame_is_snapshot_chunk, open_frame,
+    parse_epoch_frame, unseal, RecordDecoder, SnapshotAssembler,
 };
 use crate::records::{sig_hash, LoggedResult, Record};
+use crate::runtime::LagBudget;
 use crate::se::SeRegistry;
 use crate::stats::ReplicationStats;
 use bytes::Bytes;
@@ -171,42 +169,25 @@ impl BackupLog {
     /// happen (the channel is reliable and frames are whole records), so
     /// corruption means a protocol bug.
     pub fn decode(frames: Vec<Bytes>, se: &mut SeRegistry) -> Result<BackupLog, VmError> {
-        BackupLog::decode_parallel(frames, se, 1)
-    }
-
-    /// [`BackupLog::decode`] with worker-thread fan-out: seal checks and
-    /// stateless record decode parallelize across `threads` workers while
-    /// compact batches keep their sequential context chain (one decoder
-    /// across all frames, mirroring the primary's encoder). The resulting
-    /// log is byte-identical for every thread count.
-    ///
-    /// # Errors
-    /// Returns an error for malformed frames — a truncated *suffix* cannot
-    /// happen (the channel is reliable and frames are whole records), so
-    /// corruption means a protocol bug.
-    pub fn decode_parallel(
-        frames: Vec<Bytes>,
-        se: &mut SeRegistry,
-        threads: usize,
-    ) -> Result<BackupLog, VmError> {
         let mut log = BackupLog::default();
         let mut decoder = RecordDecoder::new();
-        let decoded = decode_frames_pipelined(&mut decoder, &frames, threads)
-            .map_err(|e| VmError::Internal(format!("malformed log record: {e}")))?;
-        let mut idx = 0usize;
-        for recs in decoded {
-            for rec in recs {
-                log.ingest(idx, rec, se);
-                idx += 1;
+        let mut recs = Vec::new();
+        for frame in frames {
+            unseal(&frame)
+                .and_then(|payload| decoder.decode_frame(payload, &mut recs))
+                .map_err(|e| VmError::Internal(format!("malformed log record: {e}")))?;
+            for rec in recs.drain(..) {
+                log.ingest(rec, se);
             }
         }
         Ok(log)
     }
 
-    /// Indexes one decoded record. `idx` is the record's position in the
-    /// flat log (the global order replay replays in); under the compact
-    /// codec a batch frame contributes one index per contained record.
-    fn ingest(&mut self, idx: usize, rec: Record, se: &mut SeRegistry) {
+    /// Indexes one decoded record at the next position in the flat log
+    /// (the global order replay replays in); under the compact codec a
+    /// batch frame contributes one index per contained record.
+    fn ingest(&mut self, rec: Record, se: &mut SeRegistry) {
+        let idx = self.total_records;
         self.total_records += 1;
         match rec {
             Record::IdMap { l_id, t, t_asn } => {
@@ -300,7 +281,7 @@ pub struct ResumeSeed {
 
 /// Shared backup-side native replay (ND results, outputs, exactly-once).
 ///
-/// Owns the [`BackupLog`] the coordinators consume from. In *cold* replay
+/// Owns the [`BackupLog`] the coordinator consumes from. In *cold* replay
 /// the log is complete at construction (`eof` is true from the start); in
 /// *streaming* (hot-standby) replay the log grows via `feed_frame` while
 /// the primary is still running and `eof` flips only at promotion (or once
@@ -308,11 +289,11 @@ pub struct ResumeSeed {
 pub struct NativeReplay {
     cost: CostModel,
     log: BackupLog,
+    /// Cold (whole log at construction) or hot (streamed).
+    lag_budget: LagBudget,
     /// Decoder state for streamed frames (the compact codec's delta
     /// context spans frame boundaries, so one decoder must see them all).
     decoder: RecordDecoder,
-    /// Arrival index of the next streamed record.
-    next_idx: usize,
     /// True once no further records can arrive: cold replay always, hot
     /// replay after promotion. Until then replay may not run ahead of the
     /// log — threads defer instead of going live.
@@ -350,35 +331,30 @@ impl std::fmt::Debug for NativeReplay {
 
 impl NativeReplay {
     /// Cold replay over a complete, already-decoded log.
-    fn new(log: BackupLog, world: SharedWorld, se: SeRegistry, cost: CostModel) -> Self {
+    pub(crate) fn cold(
+        log: BackupLog,
+        world: SharedWorld,
+        se: SeRegistry,
+        cost: CostModel,
+    ) -> Self {
         let next_live_output = if log.has_outputs { log.max_output_id + 1 } else { 0 };
         NativeReplay {
-            cost,
-            next_idx: log.total_records,
             log,
-            decoder: RecordDecoder::new(),
+            lag_budget: LagBudget::Cold,
             eof: true,
-            nd_consumed: HashMap::new(),
-            commit_consumed: HashMap::new(),
-            world,
-            se,
             next_live_output,
-            live_output_base: 0,
-            epochs_absorbed: 0,
-            error: None,
-            recovery_completed_at: None,
-            stats: ReplicationStats::default(),
+            ..NativeReplay::streaming(world, se, cost)
         }
     }
 
     /// Streaming (hot-standby) replay: starts with an empty log that grows
     /// as flushed frames arrive.
-    fn streaming(world: SharedWorld, se: SeRegistry, cost: CostModel) -> Self {
+    pub(crate) fn streaming(world: SharedWorld, se: SeRegistry, cost: CostModel) -> Self {
         NativeReplay {
             cost,
             log: BackupLog::default(),
+            lag_budget: LagBudget::Hot,
             decoder: RecordDecoder::new(),
-            next_idx: 0,
             eof: false,
             nd_consumed: HashMap::new(),
             commit_consumed: HashMap::new(),
@@ -401,7 +377,7 @@ impl NativeReplay {
     ///
     /// # Errors
     /// Returns an error if the seed's codec context is malformed.
-    fn resumed(
+    pub(crate) fn resumed(
         world: SharedWorld,
         se: SeRegistry,
         cost: CostModel,
@@ -412,21 +388,11 @@ impl NativeReplay {
             .import_ctx(&seed.decoder_ctx)
             .map_err(|e| VmError::Internal(format!("resume seed codec context: {e}")))?;
         Ok(NativeReplay {
-            cost,
-            log: BackupLog::default(),
             decoder,
-            next_idx: 0,
-            eof: false,
             nd_consumed: seed.nd_consumed,
             commit_consumed: seed.commit_consumed,
-            world,
-            se,
-            next_live_output: 0,
             live_output_base: seed.live_output_base,
-            epochs_absorbed: 0,
-            error: None,
-            recovery_completed_at: None,
-            stats: ReplicationStats::default(),
+            ..NativeReplay::streaming(world, se, cost)
         })
     }
 
@@ -452,7 +418,7 @@ impl NativeReplay {
             return Ok(0);
         }
         let mut scratch = Vec::new();
-        let at = self.next_idx;
+        let at = self.log.total_records;
         self.decoder.decode_frame(frame, &mut scratch).map_err(|e| {
             VmError::Internal(format!("malformed streamed log record at index {at}: {e}"))
         })?;
@@ -461,77 +427,9 @@ impl NativeReplay {
             if matches!(rec, Record::Heartbeat { .. }) {
                 heartbeats += 1;
             }
-            self.log.ingest(self.next_idx, rec, &mut self.se);
-            self.next_idx += 1;
+            self.log.ingest(rec, &mut self.se);
         }
         self.stats.peak_backup_pending = self.stats.peak_backup_pending.max(self.pending_records());
-        Ok(heartbeats)
-    }
-
-    /// Bulk [`NativeReplay::feed_frame`]: decodes a whole buffered suffix at
-    /// once, fanning seal verification and stateless record decode out
-    /// across `threads` workers while compact batches keep their sequential
-    /// context chain. Ingestion order, flat record indices, heartbeat
-    /// counts, and the per-frame `peak_backup_pending` watermark all match
-    /// feeding the frames one at a time, so the resulting backup state is
-    /// byte-identical for every thread count — only wall-clock changes.
-    ///
-    /// # Errors
-    /// Returns an error for a malformed frame (a protocol bug: the channel
-    /// is reliable and frames are whole records). On error the decoder
-    /// context is unspecified; callers abort the replica.
-    fn feed_frames(&mut self, frames: Vec<Bytes>, threads: usize) -> Result<u32, VmError> {
-        if threads <= 1 {
-            let mut heartbeats = 0u32;
-            for frame in frames {
-                heartbeats += self.feed_frame(frame)?;
-            }
-            return Ok(heartbeats);
-        }
-        // Control frames are stateless, so splitting the stream around them
-        // and bulk-decoding each record run preserves the decoder's context
-        // chain exactly.
-        let mut heartbeats = 0u32;
-        let mut run: Vec<Bytes> = Vec::new();
-        let ingest_run = |this: &mut Self, run: &mut Vec<Bytes>| -> Result<u32, VmError> {
-            if run.is_empty() {
-                return Ok(0);
-            }
-            let at = this.next_idx;
-            let decoded =
-                decode_frames_pipelined(&mut this.decoder, run, threads).map_err(|e| {
-                    VmError::Internal(format!("malformed streamed log record at index {at}: {e}"))
-                })?;
-            run.clear();
-            let mut hb = 0u32;
-            for recs in decoded {
-                for rec in recs {
-                    if matches!(rec, Record::Heartbeat { .. }) {
-                        hb += 1;
-                    }
-                    this.log.ingest(this.next_idx, rec, &mut this.se);
-                    this.next_idx += 1;
-                }
-                // Pending counts only grow while feeding, so updating the
-                // watermark at frame granularity matches the sequential path.
-                this.stats.peak_backup_pending =
-                    this.stats.peak_backup_pending.max(this.pending_records());
-            }
-            Ok(hb)
-        };
-        for frame in frames {
-            if frame_is_epoch_mark(&frame) {
-                heartbeats += ingest_run(self, &mut run)?;
-                parse_epoch_frame(&frame)
-                    .map_err(|e| VmError::Internal(format!("malformed epoch mark: {e}")))?;
-                self.epochs_absorbed += 1;
-            } else if frame_is_snapshot_chunk(&frame) {
-                heartbeats += ingest_run(self, &mut run)?;
-            } else {
-                run.push(frame);
-            }
-        }
-        heartbeats += ingest_run(self, &mut run)?;
         Ok(heartbeats)
     }
 
@@ -784,80 +682,670 @@ impl NativeReplay {
     }
 }
 
-/// Backup coordinator for **replicated lock synchronization** recovery.
+/// The order a backup enforces while it replays — the one thing the
+/// replication techniques disagree on (§4.2). Native replay, output
+/// commit and the side-effect handlers are shared ([`NativeReplay`]).
 #[derive(Debug)]
-pub struct LockSyncBackup {
-    replay: NativeReplay,
+pub(crate) enum ReplayOrder {
+    /// **Replicated lock synchronization**: each lock's acquisition order,
+    /// from lock-acquisition records and id maps, including the end-of-log
+    /// rules for threads that run past their logged history.
+    Locks,
+    /// **Interval-compressed lock synchronization**: the total acquisition
+    /// order recorded as [`Record::LockInterval`]s — during interval *i*
+    /// only its thread may acquire monitors; everyone else defers.
+    Intervals,
+    /// **Replicated thread scheduling**: the primary's schedule, stopping
+    /// each thread at exactly the recorded `(br_cnt, pc_off, mon_cnt)`
+    /// point — including preemptions inside native methods, replayed via
+    /// `mon_cnt` — and scheduling the recorded next thread.
+    Schedule(Schedule),
 }
 
-impl LockSyncBackup {
-    /// Builds a cold-replay coordinator from a complete decoded log.
-    pub fn new(log: BackupLog, world: SharedWorld, se: SeRegistry, cost: CostModel) -> Self {
-        LockSyncBackup { replay: NativeReplay::new(log, world, se, cost) }
+/// A recorded switch the designated thread already reached whose schedule
+/// record has not arrived yet (streaming replay only). The thread is held
+/// at the switch point — it cannot make further progress — so the saved
+/// counters stay valid until the record arrives and is matched.
+#[derive(Debug)]
+enum PendingSwitch {
+    /// The designated thread yielded at a blocking point (monitor, wait,
+    /// sleep, internal lock) with these counters.
+    Block {
+        /// Thread index, for divergence reports.
+        t: ThreadIdx,
+        /// Replication-stable id.
+        vt: VtPath,
+        /// `br_cnt` at the yield.
+        br_cnt: u64,
+        /// `mon_cnt` at the yield.
+        mon_cnt: u64,
+        /// Innermost method, if any.
+        method: Option<u32>,
+        /// PC at the yield.
+        pc: u32,
+        /// Whether the yield happened inside a native method.
+        in_native: bool,
+        /// `l_asn` of the lock blocked on (wake-order check).
+        blocked_lasn: u64,
+    },
+    /// The designated thread terminated.
+    Exit(VtPath),
+}
+
+/// Thread-schedule replay state ([`ReplayOrder::Schedule`]).
+#[derive(Debug)]
+pub(crate) struct Schedule {
+    last_br: HashMap<u32, u64>,
+    /// The thread the replay says must run now; `None` once recovery is
+    /// over and free scheduling resumes.
+    designated: Option<VtPath>,
+    /// Streaming only: a switch waiting for its schedule record.
+    pending: Option<PendingSwitch>,
+}
+
+impl Schedule {
+    /// Replay state for a VM whose thread `designated` runs until its next
+    /// schedule record — the root thread at genesis, the thread current on
+    /// the primary at an epoch cut. Even with no schedule records
+    /// (single-threaded programs) it stays designated until its logged
+    /// natives and outputs drain (the paper's final-record rule).
+    /// `last_br` seeds the per-thread branch counters so progress-cost
+    /// accounting continues rather than restarting.
+    pub(crate) fn new(designated: VtPath, last_br: HashMap<u32, u64>) -> Self {
+        Schedule { last_br, designated: Some(designated), pending: None }
     }
 
-    /// Builds a hot-standby (streaming) coordinator whose log starts empty
-    /// and grows via [`feed_frame`](LockSyncBackup::feed_frame).
-    pub fn streaming(world: SharedWorld, se: SeRegistry, cost: CostModel) -> Self {
-        LockSyncBackup { replay: NativeReplay::streaming(world, se, cost) }
+    /// The stream ended: settle a switch whose record was lost in the
+    /// crash, then decide whether replay is over.
+    fn finish(&mut self, replay: &mut NativeReplay, acct: &mut TimeAccount) {
+        self.drain_pending(replay, acct);
+        if replay.log.sched.is_empty() {
+            match self.pending.take() {
+                Some(PendingSwitch::Exit(vt)) => {
+                    // The exit's schedule record was lost in the crash.
+                    if replay.drained_for(&vt) {
+                        self.designated = None;
+                    } else {
+                        replay.fail(
+                            ThreadIdx(0),
+                            "designated thread exited with logged interactions left to reproduce"
+                                .into(),
+                        );
+                    }
+                }
+                // A lost blocking-switch record: the log simply ends at the
+                // block; `maybe_finish` decides whether replay is over.
+                Some(PendingSwitch::Block { .. }) | None => {}
+            }
+        }
+        self.maybe_finish(replay);
+        if self.designated.is_none() {
+            replay.mark_recovery_complete(acct);
+        }
     }
 
-    /// Builds a streaming coordinator resumed from an epoch snapshot
-    /// (re-integration of a replacement backup). The VM it coordinates was
-    /// restored from the snapshot — monitors already carry their `l_id`
-    /// and `l_asn` state, so only the replication-layer seed is needed.
-    ///
-    /// # Errors
-    /// Returns an error if the seed is malformed.
-    pub fn resumed(
-        world: SharedWorld,
-        se: SeRegistry,
-        cost: CostModel,
-        seed: ResumeSeed,
-    ) -> Result<Self, VmError> {
-        Ok(LockSyncBackup { replay: NativeReplay::resumed(world, se, cost, seed)? })
+    /// Matches a pending switch against a newly arrived schedule record.
+    fn drain_pending(&mut self, replay: &mut NativeReplay, acct: &mut TimeAccount) {
+        let Some(p) = &self.pending else { return };
+        let Some(rec) = replay.log.sched.front() else { return };
+        match p {
+            PendingSwitch::Block {
+                t,
+                vt,
+                br_cnt,
+                mon_cnt,
+                method,
+                pc,
+                in_native,
+                blocked_lasn,
+            } => {
+                if &rec.t != vt {
+                    // The chain invariant says the next record is for the
+                    // parked designated thread; leave the mismatch for the
+                    // post-eof stall check to report.
+                    return;
+                }
+                if Self::matches_front(rec, *br_cnt, *mon_cnt, *method, *pc, *in_native) {
+                    if rec.l_asn != 0 && rec.l_asn != *blocked_lasn {
+                        let (t, blocked_lasn, expect) = (*t, *blocked_lasn, rec.l_asn);
+                        replay.fail(
+                            t,
+                            format!(
+                                "blocked with lock at l_asn {blocked_lasn} but the record \
+                                 expected {expect}"
+                            ),
+                        );
+                    }
+                    self.pending = None;
+                    self.advance(replay, acct);
+                }
+            }
+            PendingSwitch::Exit(vt) => {
+                if &rec.t == vt {
+                    self.pending = None;
+                    self.advance(replay, acct);
+                } else {
+                    replay.fail(
+                        ThreadIdx(0),
+                        "designated thread exited out of recorded order".into(),
+                    );
+                    self.pending = None;
+                }
+            }
+        }
+    }
+
+    /// Does a thread at these counters sit at the front record's progress
+    /// point? Inside a native method the JVM cannot see the PC, so there
+    /// the point is pinned by the monitor-operation count as well (§4.2).
+    fn matches_front(
+        rec: &SchedRec,
+        br: u64,
+        mon: u64,
+        method: Option<u32>,
+        pc: u32,
+        in_native: bool,
+    ) -> bool {
+        rec.br_cnt == br
+            && rec.in_native == in_native
+            && rec.mon_cnt == mon
+            && rec.pc_off == pc
+            && method == Some(rec.method)
+    }
+
+    fn advance(&mut self, replay: &mut NativeReplay, acct: &mut TimeAccount) {
+        let Some(rec) = replay.log.sched.pop_front() else {
+            replay.fail_replay(ThreadIdx(0), ReplayError::EmptyRecordQueue { what: "schedule" });
+            return;
+        };
+        self.designated = Some(rec.next);
+        replay.stats.sched_records += 1;
+        acct.charge(Category::Resched, replay.cost.sched_record);
+    }
+
+    /// After consuming records (or at any progress point), recovery ends
+    /// when no schedule records remain and the designated thread has
+    /// reproduced all of its logged interactions with the environment.
+    /// While streaming, an empty queue only means the replay caught up.
+    fn maybe_finish(&mut self, replay: &NativeReplay) {
+        if !replay.eof || !replay.log.sched.is_empty() {
+            return;
+        }
+        if let Some(des) = &self.designated {
+            if replay.drained_for(des) {
+                self.designated = None;
+            }
+        }
+    }
+
+    fn check_preempt(
+        &mut self,
+        replay: &mut NativeReplay,
+        t: &ThreadObs<'_>,
+        acct: &mut TimeAccount,
+    ) -> bool {
+        self.maybe_finish(replay);
+        let Some(des) = &self.designated else {
+            replay.mark_recovery_complete(acct);
+            return false;
+        };
+        // The backup tracks replay progress with the same block-boundary
+        // counter materialization as the primary: a PC update per consult,
+        // plus one `br_cnt` store when control flow happened in the block.
+        let mut cost = replay.cost.ts_pc_track;
+        let last = self.last_br.entry(t.t.0).or_insert(0);
+        if t.br_cnt > *last {
+            *last = t.br_cnt;
+            cost += replay.cost.ts_br_track;
+        }
+        acct.charge(Category::Misc, cost);
+        let Some(vt) = t.vt else {
+            replay.fail_replay(t.t, ReplayError::MissingThreadIdentity { hook: "check_preempt" });
+            return false;
+        };
+        if vt != des {
+            // A non-designated application thread slipped in; park it.
+            return true;
+        }
+        if self.pending.is_some() {
+            // The designated thread already reached a recorded switch whose
+            // record has not arrived; it may not run past it.
+            return true;
+        }
+        // Streaming: with no record in hand the designated thread must not
+        // run — it could overshoot the primary's next preemption point.
+        let Some(rec) = replay.log.sched.front() else { return !replay.eof };
+        if &rec.t != vt {
+            let detail = format!(
+                "designated thread {vt} running but front schedule record is for {}",
+                rec.t
+            );
+            replay.fail(t.t, detail);
+            return false;
+        }
+        if Self::matches_front(rec, t.br_cnt, t.mon_cnt, t.method.map(|m| m.0), t.pc, t.in_native) {
+            self.advance(replay, acct);
+            return true;
+        }
+        false
+    }
+
+    fn quiet_budget(&self, replay: &NativeReplay, t: &ThreadObs<'_>, max: u64) -> QuietBudget {
+        // Exact replay at block granularity: bound each block so the
+        // designated thread stops precisely at the recorded progress point
+        // rather than overshooting it inside a fused run.
+        let unlimited = QuietBudget { units: max, stop_br: None };
+        if self.designated.is_none() {
+            return unlimited;
+        }
+        let Some(rec) = replay.log.sched.front() else { return unlimited };
+        let Some(vt) = t.vt else { return unlimited };
+        if &rec.t != vt {
+            return unlimited;
+        }
+        if rec.br_cnt > t.br_cnt {
+            // Run freely up to the recorded branch count; the interpreter
+            // halts the block the moment `br_cnt` reaches it.
+            return QuietBudget { units: max, stop_br: Some(rec.br_cnt) };
+        }
+        if rec.br_cnt == t.br_cnt {
+            if !t.in_native
+                && !rec.in_native
+                && rec.mon_cnt == t.mon_cnt
+                && t.method.map(|m| m.0) == Some(rec.method)
+                && rec.pc_off > t.pc
+            {
+                // Same straight-line run as the record: the remaining unit
+                // count to the recorded PC is exact.
+                return QuietBudget {
+                    units: max.min(u64::from(rec.pc_off - t.pc)),
+                    stop_br: Some(t.br_cnt + 1),
+                };
+            }
+            // At the recorded branch count but not provably before the
+            // recorded point; single-step until the next branch.
+            return QuietBudget { units: max, stop_br: Some(t.br_cnt + 1) };
+        }
+        unlimited
+    }
+
+    fn on_yield(
+        &mut self,
+        replay: &mut NativeReplay,
+        snap: &ThreadSnap,
+        reason: SwitchReason,
+        acct: &mut TimeAccount,
+    ) {
+        // Blocking yields consume their schedule record here: the counters
+        // in the record include bumps performed inside the blocking unit
+        // (e.g. `wait` releases the monitor before parking).
+        let blocking = matches!(
+            reason,
+            SwitchReason::BlockedMonitor
+                | SwitchReason::Waiting
+                | SwitchReason::Sleep
+                | SwitchReason::Internal
+        );
+        if !blocking {
+            return;
+        }
+        let Some(des) = &self.designated else { return };
+        if snap.vt.as_ref() != Some(des) {
+            return;
+        }
+        let Some(rec) = replay.log.sched.front() else {
+            if !replay.eof {
+                // The record for this switch is still in flight (or still
+                // in the primary's buffer); hold the switch until it lands.
+                self.pending = Some(PendingSwitch::Block {
+                    t: snap.t,
+                    vt: des.clone(),
+                    br_cnt: snap.br_cnt,
+                    mon_cnt: snap.mon_cnt,
+                    method: snap.method.map(|m| m.0),
+                    pc: snap.pc,
+                    in_native: snap.in_native,
+                    blocked_lasn: snap.blocked_lasn,
+                });
+            }
+            return;
+        };
+        if Some(&rec.t) != snap.vt.as_ref() {
+            return;
+        }
+        let method = snap.method.map(|m| m.0);
+        if Self::matches_front(rec, snap.br_cnt, snap.mon_cnt, method, snap.pc, snap.in_native) {
+            // Wake-order consistency check (the record's l_asn field).
+            if rec.l_asn != 0 && rec.l_asn != snap.blocked_lasn {
+                let detail = format!(
+                    "blocked with lock at l_asn {} but the record expected {}",
+                    snap.blocked_lasn, rec.l_asn
+                );
+                replay.fail(snap.t, detail);
+            }
+            self.advance(replay, acct);
+        }
+    }
+
+    fn on_thread_exit(
+        &mut self,
+        replay: &mut NativeReplay,
+        t: &ThreadObs<'_>,
+        acct: &mut TimeAccount,
+    ) {
+        let Some(des) = &self.designated else { return };
+        let Some(vt) = t.vt else {
+            replay.fail_replay(t.t, ReplayError::MissingThreadIdentity { hook: "on_thread_exit" });
+            return;
+        };
+        if vt != des {
+            return;
+        }
+        match replay.log.sched.front() {
+            Some(rec) if &rec.t == vt => self.advance(replay, acct),
+            Some(_) => {
+                // Terminated while a record for another thread is at the
+                // front — impossible in a faithful replay.
+                replay.fail(t.t, "designated thread exited out of recorded order".into());
+            }
+            None if !replay.eof => {
+                // The exit's schedule record has not arrived yet.
+                self.pending = Some(PendingSwitch::Exit(vt.clone()));
+            }
+            None => {
+                if replay.drained_for(vt) {
+                    self.designated = None;
+                    replay.mark_recovery_complete(acct);
+                } else {
+                    replay.fail(
+                        t.t,
+                        "designated thread exited with logged interactions left to reproduce"
+                            .into(),
+                    );
+                }
+            }
+        }
+    }
+
+    fn pick_next(&self, replay: &NativeReplay, candidates: &[ThreadSnap]) -> Pick {
+        let Some(des) = &self.designated else { return Pick::Default };
+        // Streaming: only dispatch the designated thread when a schedule
+        // record bounds how far it may run.
+        let replay_blocked =
+            !replay.eof && (self.pending.is_some() || replay.log.sched.front().is_none());
+        if !replay_blocked {
+            if let Some(i) = candidates.iter().position(|c| c.vt.as_ref() == Some(des)) {
+                return Pick::Choose(i);
+            }
+        }
+        // The designated thread is not runnable (or must wait for its next
+        // record): let system threads work (they may hold the lock it
+        // needs); never run another app thread.
+        if let Some(i) = candidates.iter().position(|c| c.vt.is_none()) {
+            return Pick::Choose(i);
+        }
+        Pick::Idle
+    }
+}
+
+// --- Lock-order enforcement (the two lock-sync orders) ----------------------
+
+impl NativeReplay {
+    /// [`ReplayOrder::Locks`]: may `t` take the lock now?
+    fn grant_per_lock(
+        &mut self,
+        t: &ThreadObs<'_>,
+        l_id: Option<u64>,
+        l_asn: u64,
+    ) -> MonitorDecision {
+        if self.eof && self.log.lock_total == 0 {
+            // End of recovery: the log has no more lock-acquisition
+            // records, so ordering constraints are over (§4.2).
+            return MonitorDecision::Grant;
+        }
+        let Some(vt) = t.vt else {
+            self.fail_replay(
+                t.t,
+                ReplayError::MissingThreadIdentity { hook: "pre_monitor_acquire" },
+            );
+            return MonitorDecision::Grant;
+        };
+        let Some(rec) = self.log.lock_acqs.get(vt).and_then(|q| q.front()) else {
+            // This thread ran past its (arrived) logged history; it must
+            // wait — for more frames while streaming, or for the whole log
+            // to drain — before acquiring anything new.
+            return MonitorDecision::Defer;
+        };
+        if rec.t_asn != t.t_asn + 1 {
+            let detail = format!(
+                "lock record t_asn {} but thread is at acquisition {}",
+                rec.t_asn,
+                t.t_asn + 1
+            );
+            self.fail(t.t, detail);
+            return MonitorDecision::Grant;
+        }
+        let turn =
+            if rec.l_asn == l_asn + 1 { MonitorDecision::Grant } else { MonitorDecision::Defer };
+        match l_id {
+            Some(id) if rec.l_id != id => {
+                let detail = format!(
+                    "thread's next logged acquisition is lock {} but it is acquiring lock {id} — \
+                     a data race (R4A violation) changed the acquisition sequence",
+                    rec.l_id
+                );
+                self.fail(t.t, detail);
+                MonitorDecision::Grant
+            }
+            // Otherwise wait for this thread's turn at the lock.
+            Some(_) => turn,
+            // The lock has no id at the backup yet. If this thread
+            // assigned the id at the primary, its id map names it.
+            None if self.log.id_maps.contains_key(&(vt.clone(), t.t_asn + 1)) => turn,
+            None if rec.l_asn <= 1 => {
+                // First acquisition of the lock but no id map: the map
+                // cannot have been lost without the (later) acquisition
+                // record also being lost.
+                self.fail(t.t, "acquisition record without its id map".into());
+                MonitorDecision::Grant
+            }
+            // Another thread assigns this lock's id; wait for it.
+            None => MonitorDecision::Defer,
+        }
+    }
+
+    /// [`ReplayOrder::Locks`]: consumes the granted acquisition's record
+    /// (and, on a first acquisition, its id map).
+    fn claim_per_lock(
+        &mut self,
+        t: &ThreadObs<'_>,
+        l_id: Option<u64>,
+        l_asn: u64,
+        acct: &mut TimeAccount,
+    ) -> Option<u64> {
+        if self.eof && self.log.lock_total == 0 {
+            return None; // live phase
+        }
+        let Some(vt) = t.vt else {
+            self.fail_replay(
+                t.t,
+                ReplayError::MissingThreadIdentity { hook: "post_monitor_acquire" },
+            );
+            return None;
+        };
+        let Some(rec) = self.log.lock_acqs.get_mut(vt).and_then(|q| q.pop_front()) else {
+            self.fail(t.t, "granted an acquisition with no record to consume".into());
+            return None;
+        };
+        self.log.lock_total -= 1;
+        if self.log.lock_total == 0 && self.eof {
+            self.mark_recovery_complete(acct);
+        }
+        self.stats.locks_acquired += 1;
+        // Replay bookkeeping: locating and consuming the record costs
+        // about what creating it did (no communication, though).
+        acct.charge(Category::LockAcquire, self.cost.lock_record);
+        if rec.l_asn != l_asn || rec.t_asn != t.t_asn {
+            let detail = format!(
+                "acquisition replayed at (t_asn {}, l_asn {l_asn}) but record says ({}, {})",
+                t.t_asn, rec.t_asn, rec.l_asn
+            );
+            self.fail(t.t, detail);
+        }
+        if let Some(id) = l_id {
+            debug_assert_eq!(id, rec.l_id, "pre_monitor_acquire verified the id");
+            return None;
+        }
+        // Claim this thread's id map (§4.2): it must exist, since the grant
+        // allowed a first acquisition only on a map match.
+        match self.log.id_maps.remove(&(vt.clone(), t.t_asn)) {
+            Some(mapped) if mapped != rec.l_id => {
+                let detail =
+                    format!("id map assigns lock {mapped} but record names lock {}", rec.l_id);
+                self.fail(t.t, detail);
+            }
+            Some(_) => {}
+            None => self.fail(t.t, "first acquisition granted without an id map".into()),
+        }
+        Some(rec.l_id)
+    }
+
+    /// [`ReplayOrder::Intervals`]: only the current interval's thread may
+    /// acquire.
+    fn grant_interval(&mut self, t: &ThreadObs<'_>) -> MonitorDecision {
+        let Some(front) = self.log.intervals.front() else {
+            if self.eof {
+                return MonitorDecision::Grant; // end of recovery
+            }
+            // Streaming: the interval covering this acquisition has not
+            // arrived (the primary's current interval is still open).
+            return MonitorDecision::Defer;
+        };
+        let Some(vt) = t.vt else {
+            self.fail_replay(
+                t.t,
+                ReplayError::MissingThreadIdentity { hook: "pre_monitor_acquire" },
+            );
+            return MonitorDecision::Grant;
+        };
+        if &front.t == vt {
+            MonitorDecision::Grant
+        } else {
+            MonitorDecision::Defer
+        }
+    }
+
+    /// [`ReplayOrder::Intervals`]: consumes one acquisition of the current
+    /// interval.
+    fn claim_interval(&mut self, t: &ThreadObs<'_>, acct: &mut TimeAccount) -> Option<u64> {
+        let Some(vt) = t.vt else {
+            self.fail_replay(
+                t.t,
+                ReplayError::MissingThreadIdentity { hook: "post_monitor_acquire" },
+            );
+            return None;
+        };
+        let expected = match self.log.intervals.front() {
+            None => return None, // live phase
+            Some(front) if &front.t != vt => {
+                self.fail(t.t, "acquisition granted outside the current interval".into());
+                return None;
+            }
+            // t_asn ordering inside the interval.
+            Some(front) => front.t_asn_start + (front.count - front.remaining),
+        };
+        if t.t_asn != expected {
+            self.fail(
+                t.t,
+                format!("interval expected acquisition t_asn {expected}, got {}", t.t_asn),
+            );
+        }
+        acct.charge(Category::LockAcquire, self.cost.interval_update);
+        self.log.interval_total -= 1;
+        let Some(front) = self.log.intervals.front_mut() else {
+            self.fail_replay(t.t, ReplayError::EmptyRecordQueue { what: "lock interval" });
+            return None;
+        };
+        front.remaining -= 1;
+        if front.remaining == 0 {
+            self.log.intervals.pop_front();
+        }
+        self.stats.locks_acquired += 1;
+        if self.log.interval_total == 0 && self.eof {
+            self.mark_recovery_complete(acct);
+        }
+        None
+    }
+}
+
+/// The backup coordinator: the shared [`NativeReplay`] plus the
+/// [`ReplayOrder`] it enforces. Cold (whole log at construction) or
+/// streaming (hot standby, the log grows via
+/// [`feed_frame`](Backup::feed_frame)).
+#[derive(Debug)]
+pub(crate) struct Backup {
+    replay: NativeReplay,
+    order: ReplayOrder,
+}
+
+impl Backup {
+    /// Wraps a replay with the order it enforces.
+    pub(crate) fn new(replay: NativeReplay, order: ReplayOrder) -> Self {
+        Backup { replay, order }
+    }
+
+    /// Cold (whole log at construction) or hot (streamed).
+    pub(crate) fn lag_budget(&self) -> LagBudget {
+        self.replay.lag_budget
     }
 
     /// Epoch marks absorbed from the stream (the backup's epoch ack).
-    pub fn epochs_absorbed(&self) -> u64 {
+    pub(crate) fn epochs_absorbed(&self) -> u64 {
         self.replay.epochs_absorbed
     }
 
-    /// Streams one arrived frame into the log; returns the number of
-    /// heartbeat records it carried.
+    /// Streams one arrived frame into the log, then resolves any schedule
+    /// switch that was waiting for its record. Returns the number of
+    /// heartbeat records the frame carried.
     ///
     /// # Errors
     /// Returns an error for a malformed frame (a protocol bug).
-    pub fn feed_frame(&mut self, frame: Bytes) -> Result<u32, VmError> {
-        self.replay.feed_frame(frame)
-    }
-
-    /// Bulk [`LockSyncBackup::feed_frame`] over a buffered suffix, with the
-    /// seal-check/decode front end fanned out across `threads` workers.
-    /// Byte-identical to feeding the frames one at a time.
-    ///
-    /// # Errors
-    /// Returns an error for a malformed frame (a protocol bug).
-    pub fn feed_frames(&mut self, frames: Vec<Bytes>, threads: usize) -> Result<u32, VmError> {
-        self.replay.feed_frames(frames, threads)
+    pub(crate) fn feed_frame(
+        &mut self,
+        frame: Bytes,
+        acct: &mut TimeAccount,
+    ) -> Result<u32, VmError> {
+        let heartbeats = self.replay.feed_frame(frame)?;
+        if let ReplayOrder::Schedule(s) = &mut self.order {
+            s.drain_pending(&mut self.replay, acct);
+        }
+        Ok(heartbeats)
     }
 
     /// Promotes a streaming backup: no further records can arrive.
-    pub fn finish_stream(&mut self, env: &mut ftjvm_vm::SimEnv, acct: &TimeAccount) {
+    pub(crate) fn finish_stream(&mut self, env: &mut ftjvm_vm::SimEnv, acct: &mut TimeAccount) {
         self.replay.finish(env);
-        if self.replay.log.lock_total == 0 {
+        if let ReplayOrder::Schedule(s) = &mut self.order {
+            s.finish(&mut self.replay, acct);
+        } else if self.recovery_complete() {
             self.replay.mark_recovery_complete(acct);
         }
     }
 
     /// Backup-side statistics.
-    pub fn stats(&self) -> &ReplicationStats {
+    pub(crate) fn stats(&self) -> &ReplicationStats {
         &self.replay.stats
     }
 
-    /// True once the stream ended and every lock record was consumed.
-    pub fn recovery_complete(&self) -> bool {
-        self.replay.eof && self.replay.log.lock_total == 0
+    /// True once recovery is over: the stream ended and every lock record
+    /// or interval was consumed, or free scheduling resumed.
+    pub(crate) fn recovery_complete(&self) -> bool {
+        let log = &self.replay.log;
+        match &self.order {
+            ReplayOrder::Locks => self.replay.eof && log.lock_total == 0,
+            ReplayOrder::Intervals => self.replay.eof && log.interval_total == 0,
+            ReplayOrder::Schedule(s) => s.designated.is_none(),
+        }
     }
 
     /// Replay records (of every class) still unconsumed — promotion must
@@ -867,7 +1355,7 @@ impl LockSyncBackup {
     }
 
     /// Simulated instant at which the log replay finished.
-    pub fn recovery_completed_at(&self) -> Option<ftjvm_netsim::SimTime> {
+    pub(crate) fn recovery_completed_at(&self) -> Option<SimTime> {
         self.replay.recovery_completed_at
     }
 
@@ -878,13 +1366,59 @@ impl LockSyncBackup {
     }
 }
 
-impl Coordinator for LockSyncBackup {
+impl Coordinator for Backup {
     fn mode(&self) -> &'static str {
-        "lock-sync-backup"
+        match self.order {
+            ReplayOrder::Locks => "lock-sync-backup",
+            ReplayOrder::Intervals => "lock-interval-backup",
+            ReplayOrder::Schedule(_) => "ts-backup",
+        }
     }
 
     fn stop(&mut self) -> Option<StopReason> {
         self.replay.take_stop()
+    }
+
+    fn allow_quantum_preempt(&mut self, _t: &ThreadObs<'_>) -> bool {
+        // During schedule recovery only recorded points may switch
+        // application threads; afterwards, normal preemption resumes.
+        match &self.order {
+            ReplayOrder::Schedule(s) => s.designated.is_none(),
+            _ => true,
+        }
+    }
+
+    fn check_preempt(&mut self, t: &ThreadObs<'_>, acct: &mut TimeAccount) -> bool {
+        match &mut self.order {
+            ReplayOrder::Schedule(s) => s.check_preempt(&mut self.replay, t, acct),
+            _ => false,
+        }
+    }
+
+    fn quiet_budget(&mut self, t: &ThreadObs<'_>, max: u64) -> QuietBudget {
+        match &self.order {
+            ReplayOrder::Schedule(s) => s.quiet_budget(&self.replay, t, max),
+            _ => QuietBudget { units: max, stop_br: None },
+        }
+    }
+
+    fn on_yield(&mut self, snap: &ThreadSnap, reason: SwitchReason, acct: &mut TimeAccount) {
+        if let ReplayOrder::Schedule(s) = &mut self.order {
+            s.on_yield(&mut self.replay, snap, reason, acct);
+        }
+    }
+
+    fn on_thread_exit(&mut self, t: &ThreadObs<'_>, acct: &mut TimeAccount) {
+        if let ReplayOrder::Schedule(s) = &mut self.order {
+            s.on_thread_exit(&mut self.replay, t, acct);
+        }
+    }
+
+    fn pick_next(&mut self, candidates: &[ThreadSnap]) -> Pick {
+        match &self.order {
+            ReplayOrder::Schedule(s) => s.pick_next(&self.replay, candidates),
+            _ => Pick::Default,
+        }
     }
 
     fn pre_monitor_acquire(
@@ -894,75 +1428,10 @@ impl Coordinator for LockSyncBackup {
         l_id: Option<u64>,
         l_asn: u64,
     ) -> MonitorDecision {
-        if self.replay.eof && self.replay.log.lock_total == 0 {
-            // End of recovery: the log has no more lock-acquisition
-            // records, so ordering constraints are over (§4.2).
-            return MonitorDecision::Grant;
-        }
-        let Some(vt) = t.vt else {
-            self.replay.fail_replay(
-                t.t,
-                ReplayError::MissingThreadIdentity { hook: "pre_monitor_acquire" },
-            );
-            return MonitorDecision::Grant;
-        };
-        let Some(rec) = self.replay.log.lock_acqs.get(vt).and_then(|q| q.front()) else {
-            // This thread ran past its (arrived) logged history; it must
-            // wait — for more frames while streaming, or for the whole log
-            // to drain — before acquiring anything new.
-            return MonitorDecision::Defer;
-        };
-        if rec.t_asn != t.t_asn + 1 {
-            self.replay.fail(
-                t.t,
-                format!(
-                    "lock record t_asn {} but thread is at acquisition {}",
-                    rec.t_asn,
-                    t.t_asn + 1
-                ),
-            );
-            return MonitorDecision::Grant;
-        }
-        match l_id {
-            Some(id) => {
-                if rec.l_id != id {
-                    self.replay.fail(
-                        t.t,
-                        format!(
-                            "thread's next logged acquisition is lock {} but it is acquiring lock {id} — \
-                             a data race (R4A violation) changed the acquisition sequence",
-                            rec.l_id
-                        ),
-                    );
-                    return MonitorDecision::Grant;
-                }
-                if rec.l_asn == l_asn + 1 {
-                    MonitorDecision::Grant
-                } else {
-                    // Not this thread's turn for the lock yet.
-                    MonitorDecision::Defer
-                }
-            }
-            None => {
-                // The lock has no id at the backup yet. If this thread
-                // assigned the id at the primary, its id map names it.
-                if self.replay.log.id_maps.contains_key(&(vt.clone(), t.t_asn + 1)) {
-                    if rec.l_asn == l_asn + 1 {
-                        MonitorDecision::Grant
-                    } else {
-                        MonitorDecision::Defer
-                    }
-                } else if rec.l_asn <= 1 {
-                    // First acquisition of the lock but no id map: the map
-                    // cannot have been lost without the (later) acquisition
-                    // record also being lost.
-                    self.replay.fail(t.t, "acquisition record without its id map".into());
-                    MonitorDecision::Grant
-                } else {
-                    // Another thread assigns this lock's id; wait for it.
-                    MonitorDecision::Defer
-                }
-            }
+        match self.order {
+            ReplayOrder::Locks => self.replay.grant_per_lock(t, l_id, l_asn),
+            ReplayOrder::Intervals => self.replay.grant_interval(t),
+            ReplayOrder::Schedule(_) => MonitorDecision::Grant,
         }
     }
 
@@ -972,66 +1441,12 @@ impl Coordinator for LockSyncBackup {
         _obj: ObjRef,
         l_id: Option<u64>,
         l_asn: u64,
-        _acct: &mut TimeAccount,
+        acct: &mut TimeAccount,
     ) -> Option<u64> {
-        if self.replay.eof && self.replay.log.lock_total == 0 {
-            return None; // live phase
-        }
-        let Some(vt) = t.vt else {
-            self.replay.fail_replay(
-                t.t,
-                ReplayError::MissingThreadIdentity { hook: "post_monitor_acquire" },
-            );
-            return None;
-        };
-        let Some(rec) = self.replay.log.lock_acqs.get_mut(vt).and_then(|q| q.pop_front()) else {
-            self.replay.fail(t.t, "granted an acquisition with no record to consume".into());
-            return None;
-        };
-        self.replay.log.lock_total -= 1;
-        if self.replay.log.lock_total == 0 && self.replay.eof {
-            self.replay.mark_recovery_complete(_acct);
-        }
-        self.replay.stats.locks_acquired += 1;
-        // Replay bookkeeping: locating and consuming the record costs
-        // about what creating it did (no communication, though).
-        _acct.charge(Category::LockAcquire, self.replay.cost.lock_record);
-        if rec.l_asn != l_asn || rec.t_asn != t.t_asn {
-            self.replay.fail(
-                t.t,
-                format!(
-                    "acquisition replayed at (t_asn {}, l_asn {l_asn}) but record says ({}, {})",
-                    t.t_asn, rec.t_asn, rec.l_asn
-                ),
-            );
-        }
-        match l_id {
-            Some(id) => {
-                debug_assert_eq!(id, rec.l_id, "pre_monitor_acquire verified the id");
-                None
-            }
-            None => {
-                // Claim this thread's id map (§4.2): it must exist, since
-                // pre granted the first acquisition only on a map match.
-                match self.replay.log.id_maps.remove(&(vt.clone(), t.t_asn)) {
-                    Some(mapped) => {
-                        if mapped != rec.l_id {
-                            self.replay.fail(
-                                t.t,
-                                format!(
-                                    "id map assigns lock {mapped} but record names lock {}",
-                                    rec.l_id
-                                ),
-                            );
-                        }
-                        Some(rec.l_id)
-                    }
-                    None => {
-                        self.replay.fail(t.t, "first acquisition granted without an id map".into());
-                        Some(rec.l_id)
-                    }
-                }
-            }
+        match self.order {
+            ReplayOrder::Locks => self.replay.claim_per_lock(t, l_id, l_asn, acct),
+            ReplayOrder::Intervals => self.replay.claim_interval(t, acct),
+            ReplayOrder::Schedule(_) => None,
         }
     }
 
@@ -1065,801 +1480,28 @@ impl Coordinator for LockSyncBackup {
     }
 
     fn on_stall(&mut self, _acct: &mut TimeAccount) -> bool {
-        if self.replay.log.lock_total > 0 {
-            // Locks records remain but nobody can consume them: the
-            // replayed execution diverged (typically a data race, Fig. 1).
-            self.replay.error.get_or_insert(VmError::ReplayDivergence {
-                thread: ThreadIdx(0),
-                detail: format!(
-                    "recovery stalled with {} unconsumed lock-acquisition records — \
-                     the replay diverged from the primary (R4A violation?)",
-                    self.replay.log.lock_total
-                ),
-            });
-            return true;
-        }
-        false
-    }
-}
-
-/// A recorded switch the designated thread already reached whose schedule
-/// record has not arrived yet (streaming replay only). The thread is held
-/// at the switch point — it cannot make further progress — so the saved
-/// counters stay valid until the record arrives and is matched.
-#[derive(Debug)]
-enum PendingSwitch {
-    /// The designated thread yielded at a blocking point (monitor, wait,
-    /// sleep, internal lock) with these counters.
-    Block {
-        /// Thread index, for divergence reports.
-        t: ThreadIdx,
-        /// Replication-stable id.
-        vt: VtPath,
-        /// `br_cnt` at the yield.
-        br_cnt: u64,
-        /// `mon_cnt` at the yield.
-        mon_cnt: u64,
-        /// Innermost method, if any.
-        method: Option<u32>,
-        /// PC at the yield.
-        pc: u32,
-        /// Whether the yield happened inside a native method.
-        in_native: bool,
-        /// `l_asn` of the lock blocked on (wake-order check).
-        blocked_lasn: u64,
-    },
-    /// The designated thread terminated.
-    Exit(VtPath),
-}
-
-/// Backup coordinator for **replicated thread scheduling** recovery.
-#[derive(Debug)]
-pub struct TsBackup {
-    replay: NativeReplay,
-    last_br: HashMap<u32, u64>,
-    /// The thread the replay says must run now; `None` once recovery is
-    /// over and free scheduling resumes.
-    designated: Option<VtPath>,
-    /// Streaming only: a switch waiting for its schedule record.
-    pending: Option<PendingSwitch>,
-}
-
-impl TsBackup {
-    /// Builds a cold-replay coordinator from a complete decoded log.
-    pub fn new(log: BackupLog, world: SharedWorld, se: SeRegistry, cost: CostModel) -> Self {
-        let replay = NativeReplay::new(log, world, se, cost);
-        // Execution always begins with the root thread; even with no
-        // schedule records (single-threaded programs) the root stays
-        // designated until its logged natives/outputs drain (the paper's
-        // final-record rule).
-        TsBackup {
-            replay,
-            last_br: HashMap::new(),
-            designated: Some(VtPath::root()),
-            pending: None,
-        }
-    }
-
-    /// Builds a hot-standby (streaming) coordinator whose log starts empty
-    /// and grows via [`feed_frame`](TsBackup::feed_frame).
-    pub fn streaming(world: SharedWorld, se: SeRegistry, cost: CostModel) -> Self {
-        TsBackup {
-            replay: NativeReplay::streaming(world, se, cost),
-            last_br: HashMap::new(),
-            designated: Some(VtPath::root()),
-            pending: None,
-        }
-    }
-
-    /// Builds a streaming coordinator resumed from an epoch snapshot.
-    /// `designated` is the application thread that was current on the
-    /// primary at the cut (it runs until its next schedule record);
-    /// `last_br` seeds the per-thread branch counters from the restored
-    /// VM so progress-cost accounting continues rather than restarting.
-    ///
-    /// # Errors
-    /// Returns an error if the seed is malformed.
-    pub fn resumed(
-        world: SharedWorld,
-        se: SeRegistry,
-        cost: CostModel,
-        seed: ResumeSeed,
-        designated: Option<VtPath>,
-        last_br: HashMap<u32, u64>,
-    ) -> Result<Self, VmError> {
-        Ok(TsBackup {
-            replay: NativeReplay::resumed(world, se, cost, seed)?,
-            last_br,
-            designated,
-            pending: None,
-        })
-    }
-
-    /// Epoch marks absorbed from the stream (the backup's epoch ack).
-    pub fn epochs_absorbed(&self) -> u64 {
-        self.replay.epochs_absorbed
-    }
-
-    /// Streams one arrived frame into the log, then resolves any switch
-    /// that was waiting for its schedule record. Returns the number of
-    /// heartbeat records the frame carried.
-    ///
-    /// # Errors
-    /// Returns an error for a malformed frame (a protocol bug).
-    pub fn feed_frame(&mut self, frame: Bytes, acct: &mut TimeAccount) -> Result<u32, VmError> {
-        let heartbeats = self.replay.feed_frame(frame)?;
-        self.drain_pending(acct);
-        Ok(heartbeats)
-    }
-
-    /// Bulk [`TsBackup::feed_frame`] over a buffered suffix, with the
-    /// seal-check/decode front end fanned out across `threads` workers.
-    /// The pending-switch drain runs once after the whole batch — during a
-    /// cold-suffix promotion the VM has not executed yet, so no switch is
-    /// pending mid-stream and the result is byte-identical to feeding the
-    /// frames one at a time.
-    ///
-    /// # Errors
-    /// Returns an error for a malformed frame (a protocol bug).
-    pub fn feed_frames(
-        &mut self,
-        frames: Vec<Bytes>,
-        threads: usize,
-        acct: &mut TimeAccount,
-    ) -> Result<u32, VmError> {
-        let heartbeats = self.replay.feed_frames(frames, threads)?;
-        self.drain_pending(acct);
-        Ok(heartbeats)
-    }
-
-    /// Promotes a streaming backup: no further records can arrive.
-    pub fn finish_stream(&mut self, env: &mut ftjvm_vm::SimEnv, acct: &mut TimeAccount) {
-        self.replay.finish(env);
-        self.drain_pending(acct);
-        if self.replay.log.sched.is_empty() {
-            match self.pending.take() {
-                Some(PendingSwitch::Exit(vt)) => {
-                    // The exit's schedule record was lost in the crash.
-                    if self.replay.drained_for(&vt) {
-                        self.designated = None;
-                    } else {
-                        self.replay.fail(
-                            ThreadIdx(0),
-                            "designated thread exited with logged interactions left to reproduce"
-                                .into(),
-                        );
-                    }
-                }
-                // A lost blocking-switch record: the log simply ends at the
-                // block; `maybe_finish` decides whether replay is over.
-                Some(PendingSwitch::Block { .. }) | None => {}
-            }
-        }
-        self.maybe_finish();
-        if self.designated.is_none() {
-            self.replay.mark_recovery_complete(acct);
-        }
-    }
-
-    /// Matches a pending switch against a newly arrived schedule record.
-    fn drain_pending(&mut self, acct: &mut TimeAccount) {
-        let Some(p) = &self.pending else { return };
-        let Some(rec) = self.replay.log.sched.front() else { return };
-        match p {
-            PendingSwitch::Block {
-                t,
-                vt,
-                br_cnt,
-                mon_cnt,
-                method,
-                pc,
-                in_native,
-                blocked_lasn,
-            } => {
-                if &rec.t != vt {
-                    // The chain invariant says the next record is for the
-                    // parked designated thread; leave the mismatch for the
-                    // post-eof stall check to report.
-                    return;
-                }
-                if Self::matches_front(rec, *br_cnt, *mon_cnt, *method, *pc, *in_native) {
-                    if rec.l_asn != 0 && rec.l_asn != *blocked_lasn {
-                        let (t, blocked_lasn, expect) = (*t, *blocked_lasn, rec.l_asn);
-                        self.replay.fail(
-                            t,
-                            format!(
-                                "blocked with lock at l_asn {blocked_lasn} but the record \
-                                 expected {expect}"
-                            ),
-                        );
-                    }
-                    self.pending = None;
-                    self.advance(acct);
-                }
-            }
-            PendingSwitch::Exit(vt) => {
-                if &rec.t == vt {
-                    self.pending = None;
-                    self.advance(acct);
-                } else {
-                    self.replay.fail(
-                        ThreadIdx(0),
-                        "designated thread exited out of recorded order".into(),
-                    );
-                    self.pending = None;
-                }
-            }
-        }
-    }
-
-    /// Backup-side statistics.
-    pub fn stats(&self) -> &ReplicationStats {
-        &self.replay.stats
-    }
-
-    /// True once free scheduling has resumed.
-    pub fn recovery_complete(&self) -> bool {
-        self.designated.is_none()
-    }
-
-    /// Replay records (of every class) still unconsumed — promotion must
-    /// wait for zero.
-    pub(crate) fn replay_pending(&self) -> u64 {
-        self.replay.pending_records()
-    }
-
-    /// Simulated instant at which the log replay finished.
-    pub fn recovery_completed_at(&self) -> Option<ftjvm_netsim::SimTime> {
-        self.replay.recovery_completed_at
-    }
-
-    /// Consumes the coordinator for promotion to primary (see
-    /// [`NativeReplay::into_promotion_parts`]).
-    pub(crate) fn into_promotion_parts(self) -> Result<(SeRegistry, u64), ReplayError> {
-        self.replay.into_promotion_parts()
-    }
-
-    /// Does `snap`/`obs` match the front record's progress point?
-    fn matches_front(
-        rec: &SchedRec,
-        br: u64,
-        mon: u64,
-        method: Option<u32>,
-        pc: u32,
-        in_native: bool,
-    ) -> bool {
-        if rec.br_cnt != br || rec.in_native != in_native {
-            return false;
-        }
-        if in_native {
-            // Inside a native method the JVM cannot see the PC; the replay
-            // point is identified by the monitor-operation count (§4.2).
-            rec.mon_cnt == mon
-                && rec.pc_off == pc
-                && method.map(|m| m == rec.method).unwrap_or(false)
-        } else {
-            rec.mon_cnt == mon
-                && rec.pc_off == pc
-                && method.map(|m| m == rec.method).unwrap_or(false)
-        }
-    }
-
-    fn advance(&mut self, acct: &mut TimeAccount) {
-        let Some(rec) = self.replay.log.sched.pop_front() else {
-            self.replay
-                .fail_replay(ThreadIdx(0), ReplayError::EmptyRecordQueue { what: "schedule" });
-            return;
+        // Order records remain but nobody can consume them: the replayed
+        // execution diverged (typically a data race, Fig. 1).
+        let log = &self.replay.log;
+        let detail = match &self.order {
+            ReplayOrder::Locks if log.lock_total > 0 => format!(
+                "recovery stalled with {} unconsumed lock-acquisition records — \
+                 the replay diverged from the primary (R4A violation?)",
+                log.lock_total
+            ),
+            ReplayOrder::Intervals if log.interval_total > 0 => format!(
+                "interval recovery stalled with {} acquisitions left to replay",
+                log.interval_total
+            ),
+            ReplayOrder::Schedule(s) if s.designated.is_some() => format!(
+                "thread-schedule recovery stalled with {} records left (designated {:?})",
+                log.sched.len(),
+                s.designated
+            ),
+            _ => return false,
         };
-        self.designated = Some(rec.next);
-        self.replay.stats.sched_records += 1;
-        acct.charge(Category::Resched, self.replay.cost.sched_record);
-    }
-
-    /// After consuming records (or at any progress point), recovery ends
-    /// when no schedule records remain and the designated thread has
-    /// reproduced all of its logged interactions with the environment.
-    /// While streaming, an empty queue only means the replay caught up.
-    fn maybe_finish(&mut self) {
-        if !self.replay.eof || !self.replay.log.sched.is_empty() {
-            return;
-        }
-        if let Some(des) = &self.designated {
-            if self.replay.drained_for(des) {
-                self.designated = None;
-            }
-        }
-    }
-}
-
-impl Coordinator for TsBackup {
-    fn mode(&self) -> &'static str {
-        "ts-backup"
-    }
-
-    fn stop(&mut self) -> Option<StopReason> {
-        self.replay.take_stop()
-    }
-
-    fn allow_quantum_preempt(&mut self, _t: &ThreadObs<'_>) -> bool {
-        // During recovery only recorded points may switch application
-        // threads; afterwards, normal preemption resumes.
-        self.designated.is_none()
-    }
-
-    fn check_preempt(&mut self, t: &ThreadObs<'_>, acct: &mut TimeAccount) -> bool {
-        self.maybe_finish();
-        let Some(des) = &self.designated else {
-            self.replay.mark_recovery_complete(acct);
-            return false;
-        };
-        // The backup tracks replay progress with the same block-boundary
-        // counter materialization as the primary: a PC update per consult,
-        // plus one `br_cnt` store when control flow happened in the block.
-        {
-            let mut cost = self.replay.cost.ts_pc_track;
-            let last = self.last_br.entry(t.t.0).or_insert(0);
-            if t.br_cnt > *last {
-                *last = t.br_cnt;
-                cost += self.replay.cost.ts_br_track;
-            }
-            acct.charge(Category::Misc, cost);
-        }
-        let Some(vt) = t.vt else {
-            self.replay
-                .fail_replay(t.t, ReplayError::MissingThreadIdentity { hook: "check_preempt" });
-            return false;
-        };
-        if vt != des {
-            // A non-designated application thread slipped in; park it.
-            return true;
-        }
-        if self.pending.is_some() {
-            // The designated thread already reached a recorded switch whose
-            // record has not arrived; it may not run past it.
-            return true;
-        }
-        // Streaming: with no record in hand the designated thread must not
-        // run — it could overshoot the primary's next preemption point.
-        let Some(rec) = self.replay.log.sched.front() else { return !self.replay.eof };
-        if &rec.t != vt {
-            self.replay.fail(
-                t.t,
-                format!(
-                    "designated thread {vt} running but front schedule record is for {}",
-                    rec.t
-                ),
-            );
-            return false;
-        }
-        if Self::matches_front(rec, t.br_cnt, t.mon_cnt, t.method.map(|m| m.0), t.pc, t.in_native) {
-            self.advance(acct);
-            return true;
-        }
-        false
-    }
-
-    fn quiet_budget(&mut self, t: &ThreadObs<'_>, max: u64) -> QuietBudget {
-        // Exact replay at block granularity: bound each block so the
-        // designated thread stops precisely at the recorded progress point
-        // rather than overshooting it inside a fused run.
-        let unlimited = QuietBudget { units: max, stop_br: None };
-        if self.designated.is_none() {
-            return unlimited;
-        }
-        let Some(rec) = self.replay.log.sched.front() else { return unlimited };
-        let Some(vt) = t.vt else { return unlimited };
-        if &rec.t != vt {
-            return unlimited;
-        }
-        if rec.br_cnt > t.br_cnt {
-            // Run freely up to the recorded branch count; the interpreter
-            // halts the block the moment `br_cnt` reaches it.
-            return QuietBudget { units: max, stop_br: Some(rec.br_cnt) };
-        }
-        if rec.br_cnt == t.br_cnt {
-            if !t.in_native
-                && !rec.in_native
-                && rec.mon_cnt == t.mon_cnt
-                && t.method.map(|m| m.0) == Some(rec.method)
-                && rec.pc_off > t.pc
-            {
-                // Same straight-line run as the record: the remaining unit
-                // count to the recorded PC is exact.
-                return QuietBudget {
-                    units: max.min(u64::from(rec.pc_off - t.pc)),
-                    stop_br: Some(t.br_cnt + 1),
-                };
-            }
-            // At the recorded branch count but not provably before the
-            // recorded point; single-step until the next branch.
-            return QuietBudget { units: max, stop_br: Some(t.br_cnt + 1) };
-        }
-        unlimited
-    }
-
-    fn on_yield(&mut self, snap: &ThreadSnap, reason: SwitchReason, acct: &mut TimeAccount) {
-        // Blocking yields consume their schedule record here: the counters
-        // in the record include bumps performed inside the blocking unit
-        // (e.g. `wait` releases the monitor before parking).
-        if self.designated.is_none() || snap.vt.is_none() {
-            return;
-        }
-        let blocking = matches!(
-            reason,
-            SwitchReason::BlockedMonitor
-                | SwitchReason::Waiting
-                | SwitchReason::Sleep
-                | SwitchReason::Internal
-        );
-        if !blocking {
-            return;
-        }
-        let Some(des) = &self.designated else { return };
-        if snap.vt.as_ref() != Some(des) {
-            return;
-        }
-        let Some(rec) = self.replay.log.sched.front() else {
-            if !self.replay.eof {
-                // The record for this switch is still in flight (or still
-                // in the primary's buffer); hold the switch until it lands.
-                self.pending = Some(PendingSwitch::Block {
-                    t: snap.t,
-                    vt: des.clone(),
-                    br_cnt: snap.br_cnt,
-                    mon_cnt: snap.mon_cnt,
-                    method: snap.method.map(|m| m.0),
-                    pc: snap.pc,
-                    in_native: snap.in_native,
-                    blocked_lasn: snap.blocked_lasn,
-                });
-            }
-            return;
-        };
-        if Some(&rec.t) != snap.vt.as_ref() {
-            return;
-        }
-        if Self::matches_front(
-            rec,
-            snap.br_cnt,
-            snap.mon_cnt,
-            snap.method.map(|m| m.0),
-            snap.pc,
-            snap.in_native,
-        ) {
-            // Wake-order consistency check (the record's l_asn field).
-            if rec.l_asn != 0 && rec.l_asn != snap.blocked_lasn {
-                self.replay.fail(
-                    snap.t,
-                    format!(
-                        "blocked with lock at l_asn {} but the record expected {}",
-                        snap.blocked_lasn, rec.l_asn
-                    ),
-                );
-            }
-            self.advance(acct);
-        }
-    }
-
-    fn on_thread_exit(&mut self, t: &ThreadObs<'_>, acct: &mut TimeAccount) {
-        let Some(des) = self.designated.clone() else { return };
-        let Some(vt) = t.vt else {
-            self.replay
-                .fail_replay(t.t, ReplayError::MissingThreadIdentity { hook: "on_thread_exit" });
-            return;
-        };
-        if *vt != des {
-            return;
-        }
-        match self.replay.log.sched.front() {
-            Some(rec) if &rec.t == vt => self.advance(acct),
-            Some(_) => {
-                // Terminated while a record for another thread is at the
-                // front — impossible in a faithful replay.
-                self.replay.fail(t.t, "designated thread exited out of recorded order".into());
-            }
-            None if !self.replay.eof => {
-                // The exit's schedule record has not arrived yet.
-                self.pending = Some(PendingSwitch::Exit(vt.clone()));
-            }
-            None => {
-                if self.replay.drained_for(vt) {
-                    self.designated = None;
-                    self.replay.mark_recovery_complete(acct);
-                } else {
-                    self.replay.fail(
-                        t.t,
-                        "designated thread exited with logged interactions left to reproduce"
-                            .into(),
-                    );
-                }
-            }
-        }
-    }
-
-    fn pick_next(&mut self, candidates: &[ThreadSnap]) -> Pick {
-        let Some(des) = &self.designated else { return Pick::Default };
-        // Streaming: only dispatch the designated thread when a schedule
-        // record bounds how far it may run.
-        let replay_blocked =
-            !self.replay.eof && (self.pending.is_some() || self.replay.log.sched.front().is_none());
-        if !replay_blocked {
-            if let Some(i) = candidates.iter().position(|c| c.vt.as_ref() == Some(des)) {
-                return Pick::Choose(i);
-            }
-        }
-        // The designated thread is not runnable (or must wait for its next
-        // record): let system threads work (they may hold the lock it
-        // needs); never run another app thread.
-        if let Some(i) = candidates.iter().position(|c| c.vt.is_none()) {
-            return Pick::Choose(i);
-        }
-        Pick::Idle
-    }
-
-    fn pre_native(
-        &mut self,
-        t: &ThreadObs<'_>,
-        decl: &NativeDecl,
-        _args: &[Value],
-        acct: &mut TimeAccount,
-    ) -> NativeDirective {
-        self.replay.directive(t, decl, acct)
-    }
-
-    fn begin_output(
-        &mut self,
-        _t: &ThreadObs<'_>,
-        _decl: &NativeDecl,
-        acct: &mut TimeAccount,
-    ) -> u64 {
-        self.replay.live_output(acct)
-    }
-
-    fn native_ready(&mut self, t: &ThreadObs<'_>, decl: &NativeDecl) -> bool {
-        self.replay.ready_for(t, decl)
-    }
-
-    fn starved(&mut self) -> bool {
-        !self.replay.eof
-    }
-
-    fn on_stall(&mut self, _acct: &mut TimeAccount) -> bool {
-        if self.designated.is_some() {
-            self.replay.error.get_or_insert(VmError::ReplayDivergence {
-                thread: ThreadIdx(0),
-                detail: format!(
-                    "thread-schedule recovery stalled with {} records left (designated {:?})",
-                    self.replay.log.sched.len(),
-                    self.designated
-                ),
-            });
-            return true;
-        }
-        false
-    }
-
-    fn on_exit(&mut self, _acct: &mut TimeAccount) {}
-}
-
-/// Backup coordinator for **interval-compressed lock synchronization**
-/// recovery: enforces the total acquisition order recorded as
-/// [`Record::LockInterval`]s — during interval *i* only its thread may
-/// acquire monitors; everyone else defers.
-#[derive(Debug)]
-pub struct IntervalBackup {
-    replay: NativeReplay,
-}
-
-impl IntervalBackup {
-    /// Builds a cold-replay coordinator from a complete decoded log.
-    pub fn new(log: BackupLog, world: SharedWorld, se: SeRegistry, cost: CostModel) -> Self {
-        IntervalBackup { replay: NativeReplay::new(log, world, se, cost) }
-    }
-
-    /// Builds a hot-standby (streaming) coordinator whose log starts empty
-    /// and grows via [`feed_frame`](IntervalBackup::feed_frame).
-    pub fn streaming(world: SharedWorld, se: SeRegistry, cost: CostModel) -> Self {
-        IntervalBackup { replay: NativeReplay::streaming(world, se, cost) }
-    }
-
-    /// Builds a streaming coordinator resumed from an epoch snapshot
-    /// (re-integration of a replacement backup).
-    ///
-    /// # Errors
-    /// Returns an error if the seed is malformed.
-    pub fn resumed(
-        world: SharedWorld,
-        se: SeRegistry,
-        cost: CostModel,
-        seed: ResumeSeed,
-    ) -> Result<Self, VmError> {
-        Ok(IntervalBackup { replay: NativeReplay::resumed(world, se, cost, seed)? })
-    }
-
-    /// Epoch marks absorbed from the stream (the backup's epoch ack).
-    pub fn epochs_absorbed(&self) -> u64 {
-        self.replay.epochs_absorbed
-    }
-
-    /// Streams one arrived frame into the log; returns the number of
-    /// heartbeat records it carried.
-    ///
-    /// # Errors
-    /// Returns an error for a malformed frame (a protocol bug).
-    pub fn feed_frame(&mut self, frame: Bytes) -> Result<u32, VmError> {
-        self.replay.feed_frame(frame)
-    }
-
-    /// Bulk [`IntervalBackup::feed_frame`] over a buffered suffix, with the
-    /// seal-check/decode front end fanned out across `threads` workers.
-    /// Byte-identical to feeding the frames one at a time.
-    ///
-    /// # Errors
-    /// Returns an error for a malformed frame (a protocol bug).
-    pub fn feed_frames(&mut self, frames: Vec<Bytes>, threads: usize) -> Result<u32, VmError> {
-        self.replay.feed_frames(frames, threads)
-    }
-
-    /// Promotes a streaming backup: no further records can arrive.
-    pub fn finish_stream(&mut self, env: &mut ftjvm_vm::SimEnv, acct: &TimeAccount) {
-        self.replay.finish(env);
-        if self.replay.log.interval_total == 0 {
-            self.replay.mark_recovery_complete(acct);
-        }
-    }
-
-    /// Backup-side statistics.
-    pub fn stats(&self) -> &ReplicationStats {
-        &self.replay.stats
-    }
-
-    /// True once the stream ended and every interval was consumed.
-    pub fn recovery_complete(&self) -> bool {
-        self.replay.eof && self.replay.log.interval_total == 0
-    }
-
-    /// Replay records (of every class) still unconsumed — promotion must
-    /// wait for zero.
-    pub(crate) fn replay_pending(&self) -> u64 {
-        self.replay.pending_records()
-    }
-
-    /// Simulated instant at which the log replay finished.
-    pub fn recovery_completed_at(&self) -> Option<ftjvm_netsim::SimTime> {
-        self.replay.recovery_completed_at
-    }
-
-    /// Consumes the coordinator for promotion to primary (see
-    /// [`NativeReplay::into_promotion_parts`]).
-    pub(crate) fn into_promotion_parts(self) -> Result<(SeRegistry, u64), ReplayError> {
-        self.replay.into_promotion_parts()
-    }
-}
-
-impl Coordinator for IntervalBackup {
-    fn mode(&self) -> &'static str {
-        "lock-interval-backup"
-    }
-
-    fn stop(&mut self) -> Option<StopReason> {
-        self.replay.take_stop()
-    }
-
-    fn pre_monitor_acquire(
-        &mut self,
-        t: &ThreadObs<'_>,
-        _obj: ObjRef,
-        _l_id: Option<u64>,
-        _l_asn: u64,
-    ) -> MonitorDecision {
-        let Some(front) = self.replay.log.intervals.front() else {
-            if self.replay.eof {
-                return MonitorDecision::Grant; // end of recovery
-            }
-            // Streaming: the interval covering this acquisition has not
-            // arrived (the primary's current interval is still open).
-            return MonitorDecision::Defer;
-        };
-        let Some(vt) = t.vt else {
-            self.replay.fail_replay(
-                t.t,
-                ReplayError::MissingThreadIdentity { hook: "pre_monitor_acquire" },
-            );
-            return MonitorDecision::Grant;
-        };
-        if &front.t == vt {
-            MonitorDecision::Grant
-        } else {
-            MonitorDecision::Defer
-        }
-    }
-
-    fn post_monitor_acquire(
-        &mut self,
-        t: &ThreadObs<'_>,
-        _obj: ObjRef,
-        _l_id: Option<u64>,
-        _l_asn: u64,
-        acct: &mut TimeAccount,
-    ) -> Option<u64> {
-        let Some(vt) = t.vt else {
-            self.replay.fail_replay(
-                t.t,
-                ReplayError::MissingThreadIdentity { hook: "post_monitor_acquire" },
-            );
-            return None;
-        };
-        let expected = match self.replay.log.intervals.front() {
-            None => return None, // live phase
-            Some(front) if &front.t != vt => {
-                self.replay.fail(t.t, "acquisition granted outside the current interval".into());
-                return None;
-            }
-            // t_asn ordering inside the interval.
-            Some(front) => front.t_asn_start + (front.count - front.remaining),
-        };
-        if t.t_asn != expected {
-            self.replay.fail(
-                t.t,
-                format!("interval expected acquisition t_asn {expected}, got {}", t.t_asn),
-            );
-        }
-        acct.charge(ftjvm_netsim::Category::LockAcquire, self.replay.cost.interval_update);
-        self.replay.log.interval_total -= 1;
-        let Some(front) = self.replay.log.intervals.front_mut() else {
-            self.replay.fail_replay(t.t, ReplayError::EmptyRecordQueue { what: "lock interval" });
-            return None;
-        };
-        front.remaining -= 1;
-        if front.remaining == 0 {
-            self.replay.log.intervals.pop_front();
-        }
-        self.replay.stats.locks_acquired += 1;
-        if self.replay.log.interval_total == 0 && self.replay.eof {
-            self.replay.mark_recovery_complete(acct);
-        }
-        None
-    }
-
-    fn pre_native(
-        &mut self,
-        t: &ThreadObs<'_>,
-        decl: &NativeDecl,
-        _args: &[Value],
-        acct: &mut TimeAccount,
-    ) -> NativeDirective {
-        self.replay.directive(t, decl, acct)
-    }
-
-    fn begin_output(
-        &mut self,
-        _t: &ThreadObs<'_>,
-        _decl: &NativeDecl,
-        acct: &mut TimeAccount,
-    ) -> u64 {
-        self.replay.live_output(acct)
-    }
-
-    fn native_ready(&mut self, t: &ThreadObs<'_>, decl: &NativeDecl) -> bool {
-        self.replay.ready_for(t, decl)
-    }
-
-    fn starved(&mut self) -> bool {
-        !self.replay.eof
-    }
-
-    fn on_stall(&mut self, _acct: &mut TimeAccount) -> bool {
-        if self.replay.log.interval_total > 0 {
-            self.replay.error.get_or_insert(VmError::ReplayDivergence {
-                thread: ThreadIdx(0),
-                detail: format!(
-                    "interval recovery stalled with {} acquisitions left to replay",
-                    self.replay.log.interval_total
-                ),
-            });
-            return true;
-        }
-        false
+        self.replay.error.get_or_insert(VmError::ReplayDivergence { thread: ThreadIdx(0), detail });
+        true
     }
 }
 
@@ -2120,7 +1762,7 @@ mod tests {
         let frames: Vec<Bytes> = records.iter().map(|r| r.encode()).collect();
         let mut se = SeRegistry::with_builtins();
         let log = BackupLog::decode(frames, &mut se).expect("decodes");
-        NativeReplay::new(log, world, se, ftjvm_netsim::CostModel::default())
+        NativeReplay::cold(log, world, se, ftjvm_netsim::CostModel::default())
     }
 
     fn make_obs<'a>(t: ThreadIdx, vt: &'a VtPath) -> ThreadObs<'a> {

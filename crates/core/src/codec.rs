@@ -599,7 +599,7 @@ const PIPELINE_MIN_FRAMES: usize = 16;
 
 /// Unseals one frame if it carries a CRC32C seal, passing unsealed
 /// frames through untouched.
-fn unseal(frame: &Bytes) -> Result<Bytes, WireError> {
+pub(crate) fn unseal(frame: &Bytes) -> Result<Bytes, WireError> {
     if frame.first() == Some(&SEAL_TAG) {
         let (_seq, payload) =
             open_frame(frame).map_err(|_| WireError::new("sealed frame failed verification"))?;

@@ -76,14 +76,6 @@ pub struct FtConfig {
     pub mode: ReplicationMode,
     /// Lock-record encoding for [`ReplicationMode::LockSync`].
     pub lock_variant: LockVariant,
-    /// A *warm* backup replays log records as they arrive instead of only
-    /// after a failure (the paper: "Keeping the backup updated would
-    /// require only minor modifications"). Functionally identical; the
-    /// replay work moves from the failover path to normal operation, so
-    /// [`PairReport::failover_latency`] collapses to detection time.
-    /// Accounting-only — for an actually co-simulated standby see
-    /// [`FtConfig::lag_budget`].
-    pub warm_backup: bool,
     /// How far the backup may lag the primary's log: [`LagBudget::Cold`]
     /// (store-only, replay at failover — the paper's baseline) or
     /// [`LagBudget::Hot`] (co-simulated streaming replay; only the
@@ -134,12 +126,6 @@ pub struct FtConfig {
     pub net_fault: NetFaultPlan,
     /// Factory for the side-effect-handler registry (one per replica).
     pub se_factory: fn() -> SeRegistry,
-    /// Worker threads for the promotion path's suffix decode (seal
-    /// verification and stateless record decode fan out; compact batches
-    /// keep their sequential context chain). Replay output is
-    /// byte-identical for every value — this knob trades wall-clock time
-    /// only. Default 1 (fully sequential).
-    pub replay_threads: usize,
 }
 
 impl Default for FtConfig {
@@ -147,7 +133,6 @@ impl Default for FtConfig {
         FtConfig {
             mode: ReplicationMode::LockSync,
             lock_variant: LockVariant::PerAcquisition,
-            warm_backup: false,
             lag_budget: LagBudget::Cold,
             vm: VmConfig::default(),
             primary_seed: 11,
@@ -163,7 +148,6 @@ impl Default for FtConfig {
             detector: FailureDetector::default(),
             net_fault: NetFaultPlan::default(),
             se_factory: SeRegistry::with_builtins,
-            replay_threads: 1,
         }
     }
 }

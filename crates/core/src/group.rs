@@ -45,7 +45,7 @@ use crate::codec::{
 };
 use crate::pair::pump_backup;
 use crate::primary::{AckPolicy, PrimaryCore};
-use crate::runtime::{Replica, ReplicaRuntime, SLICE_UNITS};
+use crate::runtime::{BackupStart, Replica, ReplicaRuntime, SLICE_UNITS};
 use crate::stats::ReplicationStats;
 use bytes::Bytes;
 use ftjvm_netsim::{ChannelStats, FaultPlan, HeartbeatMonitor, SimTime};
@@ -480,8 +480,11 @@ fn deliver_slot(
                         .offer(&frame)
                         .map_err(|e| VmError::Internal(format!("snapshot transfer: {e}")))?;
                     if let Some((_epoch, blob)) = done {
-                        let mut nb =
-                            Box::new(rt.build_resumed_backup_ranked(world, &blob, slot.rank)?);
+                        let mut nb = Box::new(rt.build_backup(
+                            world,
+                            BackupStart::Snapshot(&blob),
+                            slot.rank,
+                        )?);
                         nb.wait_until(arrival);
                         slot.monitor = rt.cfg().detector.monitor(arrival);
                         slot.report = None;
@@ -554,7 +557,7 @@ impl GroupTask {
         }
         let mut slots = Vec::with_capacity(cfg.size - 1);
         for i in 0..cfg.size - 1 {
-            let b = rt.build_hot_backup_ranked(&world, i as u32)?;
+            let b = rt.build_backup(&world, BackupStart::Stream, i as u32)?;
             slots.push(Slot {
                 member: i as u32 + 1,
                 rank: i as u32,

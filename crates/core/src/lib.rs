@@ -66,10 +66,7 @@ pub mod runtime;
 pub mod se;
 pub mod stats;
 
-pub use backup::{
-    BackupLog, Control, EpochStore, IntervalBackup, LockSyncBackup, RecvWindow, ReplayError,
-    ResumeSeed, TsBackup,
-};
+pub use backup::{BackupLog, Control, EpochStore, RecvWindow, ReplayError, ResumeSeed};
 pub use codec::{
     build_batch_frame, build_epoch_frame, build_snapshot_chunk, crc32c, decode_frames,
     decode_frames_pipelined, frame_is_epoch_mark, frame_is_snapshot_chunk, open_frame,
@@ -86,11 +83,10 @@ pub use group::{
 };
 pub use pair::{PairEvent, PairTask};
 pub use parallel::{run_windowed, PoolOptions, PoolStats, WindowTask};
-pub use primary::{
-    AckPolicy, IntervalPrimary, LockSyncPrimary, LogChannel, PrimaryCore, ReliableLink, SendWindow,
-    TsPrimary,
-};
+pub use primary::{AckPolicy, LogChannel, PrimaryCore, ReliableLink, SendWindow};
 pub use records::{LoggedResult, Record, WireValue};
-pub use runtime::{CheckpointPlan, CheckpointReport, LagBudget, Replica, ReplicaRuntime, Role};
+pub use runtime::{
+    BackupStart, CheckpointPlan, CheckpointReport, LagBudget, Replica, ReplicaRuntime, Role,
+};
 pub use se::{SeRegistration, SeRegistry, SideEffectHandler, SocketHandler};
 pub use stats::ReplicationStats;

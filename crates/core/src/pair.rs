@@ -30,8 +30,8 @@ use crate::backup::EpochStore;
 use crate::codec::{frame_is_heartbeat, frame_is_snapshot_chunk, SnapshotAssembler};
 use crate::ftjvm::PairReport;
 use crate::runtime::{
-    observe_heartbeats, CheckpointPlan, CheckpointReport, LagBudget, Replica, ReplicaRuntime,
-    SLICE_UNITS,
+    observe_heartbeats, BackupStart, CheckpointPlan, CheckpointReport, LagBudget, Replica,
+    ReplicaRuntime, SLICE_UNITS,
 };
 use crate::stats::ReplicationStats;
 use bytes::Bytes;
@@ -182,7 +182,7 @@ impl PairTask {
     pub fn hot(rt: ReplicaRuntime, fault: FaultPlan) -> Result<Self, VmError> {
         let world = World::shared();
         let primary = Box::new(rt.build_primary(&world, fault)?);
-        let backup = Box::new(rt.build_hot_backup(&world)?);
+        let backup = Box::new(rt.build_backup(&world, BackupStart::Stream, 0)?);
         let monitor = rt.cfg().detector.monitor(SimTime::ZERO);
         Ok(PairTask::with_state(
             rt,
@@ -206,7 +206,7 @@ impl PairTask {
         }
         let world = World::shared();
         let primary = Box::new(rt.build_primary(&world, plan.fault)?);
-        let standby = Standby::Live(Box::new(rt.build_hot_backup(&world)?));
+        let standby = Standby::Live(Box::new(rt.build_backup(&world, BackupStart::Stream, 0)?));
         let monitor = rt.cfg().detector.monitor(SimTime::ZERO);
         Ok(PairTask::with_state(
             rt,
@@ -476,14 +476,6 @@ impl PairTask {
         let (backup_report, backup_stats, recovered_at) =
             self.rt.replay_log(&self.world, frames)?;
         let recovery_replay_time = recovered_at.unwrap_or_else(|| backup_report.acct.now());
-        // Cold backups pay the replay at failover; the legacy warm flag
-        // models a backup that already replayed everything flushed, so
-        // only detection remains.
-        let failover_latency = if self.rt.cfg().warm_backup {
-            detection_latency
-        } else {
-            detection_latency + recovery_replay_time
-        };
         self.report = Some(PairReport {
             primary: primary_report,
             primary_stats,
@@ -492,7 +484,7 @@ impl PairTask {
             backup_stats: Some(backup_stats),
             detection_latency,
             recovery_replay_time,
-            failover_latency,
+            failover_latency: detection_latency + recovery_replay_time,
             channel: channel_stats,
             world: self.world.clone(),
         });
@@ -881,8 +873,10 @@ impl PairTask {
             Some((_epoch, blob)) => {
                 // Snapshot-based recovery: restore, replay the stored
                 // suffix, promote.
-                let mut b = self.rt.build_resumed_backup(&self.world, &blob)?;
-                b.feed_frames_bulk(detection_at, suffix, self.rt.cfg().replay_threads)?;
+                let mut b = self.rt.build_backup(&self.world, BackupStart::Snapshot(&blob), 0)?;
+                for frame in suffix {
+                    b.feed_frame(detection_at, frame)?;
+                }
                 b.finish_stream();
                 let r = b.run_to_end()?;
                 let recovered = b.recovery_completed_at().unwrap_or_else(|| r.acct.now());
@@ -962,7 +956,8 @@ fn deliver(
                         .offer(&frame)
                         .map_err(|e| VmError::Internal(format!("snapshot transfer: {e}")))?;
                     if let Some((_epoch, blob)) = done {
-                        let mut nb = Box::new(rt.build_resumed_backup(world, &blob)?);
+                        let mut nb =
+                            Box::new(rt.build_backup(world, BackupStart::Snapshot(&blob), 0)?);
                         nb.wait_until(arrival);
                         *monitor = rt.cfg().detector.monitor(arrival);
                         *backup_report = None;

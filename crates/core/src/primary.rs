@@ -1,17 +1,16 @@
-//! The primary-side replication runtime and the two primary coordinators.
+//! The primary-side replication runtime and the one primary coordinator.
 //!
-//! [`PrimaryCore`] implements everything both techniques share: the
+//! [`PrimaryCore`] implements everything the techniques share: the
 //! buffered record log and its flush policy, the non-deterministic
 //! native-method interception (§4.1), output commit with pessimistic
 //! acknowledgment waits (§3.4), side-effect-handler `log` upcalls (§4.4),
-//! and fail-stop fault injection. On top of it:
-//!
-//! * [`LockSyncPrimary`] logs an id map on first acquisition and a lock
-//!   acquisition record on every monitor acquisition (§4.2, *Replicated
-//!   Lock Synchronization*);
-//! * [`TsPrimary`] charges the per-instruction progress bookkeeping and
-//!   logs a thread-schedule record whenever the scheduler switches between
-//!   two application threads (§4.2, *Replicated Thread Scheduling*).
+//! and fail-stop fault injection. A `Primary` adds the `LogOrder` its
+//! technique records (§4.2): an id map on first acquisition and a lock
+//! acquisition record on every monitor acquisition (*Replicated Lock
+//! Synchronization*), the same compressed into per-thread acquisition
+//! intervals, or per-instruction progress bookkeeping plus a
+//! thread-schedule record whenever the scheduler switches between two
+//! application threads (*Replicated Thread Scheduling*).
 
 use crate::backup::{Control, RecvWindow};
 use crate::codec::{
@@ -1364,39 +1363,154 @@ pub(crate) fn decode_vt_map(blob: &Bytes) -> Result<HashMap<VtPath, u64>, WireEr
     Ok(map)
 }
 
-/// Primary coordinator for **replicated lock synchronization** (§4.2).
+/// What the primary logs to fix the order its backup will enforce — the
+/// one thing the replication techniques disagree on (§4.2), with the
+/// per-technique logging state.
 #[derive(Debug)]
-pub struct LockSyncPrimary {
+pub(crate) enum LogOrder {
+    /// **Replicated lock synchronization**: an id map on a lock's first
+    /// acquisition and a lock-acquisition record on every acquisition.
+    Locks {
+        /// Next virtual lock id to assign. A backup promoting to primary
+        /// starts past every id its replayed history assigned.
+        next_l_id: u64,
+    },
+    /// **Interval-compressed lock synchronization** — the DejaVu-style
+    /// optimization the paper's related work points at ("there would only
+    /// be 56 intervals instead of 700258 lock acquisitions"). Globally
+    /// consecutive acquisitions by one thread collapse into a single
+    /// [`Record::LockInterval`]; virtual lock ids and id maps are
+    /// unnecessary because the backup enforces a *total* order over all
+    /// acquisitions rather than a per-lock order.
+    Intervals {
+        /// The interval being extended: (thread, `t_asn` start, count).
+        open: Option<(VtPath, u64, u64)>,
+    },
+    /// **Replicated thread scheduling**: per-instruction progress
+    /// bookkeeping, and a thread-schedule record whenever the scheduler
+    /// switches between two application threads.
+    Schedule {
+        /// The last application thread that yielded (its progress
+        /// snapshot), pending the next application dispatch.
+        pending_from: Option<ThreadSnap>,
+        /// Last observed `br_cnt` per thread, to charge `br_cnt`
+        /// maintenance once per control-flow change.
+        last_br: HashMap<u32, u64>,
+    },
+}
+
+/// The primary coordinator: the shared [`PrimaryCore`] plus the
+/// [`LogOrder`] it records.
+#[derive(Debug)]
+pub(crate) struct Primary {
     /// Shared primary machinery.
-    pub common: PrimaryCore,
-    next_l_id: u64,
+    pub(crate) core: PrimaryCore,
+    order: LogOrder,
 }
 
-impl LockSyncPrimary {
+impl Primary {
     /// Creates the coordinator.
-    pub fn new(common: PrimaryCore) -> Self {
-        LockSyncPrimary { common, next_l_id: 0 }
+    pub(crate) fn new(core: PrimaryCore, order: LogOrder) -> Self {
+        Primary { core, order }
     }
 
-    /// Creates the coordinator for a backup promoting to primary: the
-    /// virtual-lock-id allocator starts past every id the replayed
-    /// history already assigned, so fresh assignments never collide.
-    pub fn resumed(common: PrimaryCore, next_l_id: u64) -> Self {
-        LockSyncPrimary { common, next_l_id }
+    /// Closes the open acquisition interval, logging it. A no-op unless an
+    /// interval is open.
+    fn close_interval(&mut self, acct: &mut TimeAccount) {
+        if let LogOrder::Intervals { open } = &mut self.order {
+            if let Some((t, t_asn_start, count)) = open.take() {
+                let cost = self.core.cost.lock_record;
+                self.core.log(
+                    Record::LockInterval { t, t_asn_start, count },
+                    Category::LockAcquire,
+                    cost,
+                    acct,
+                );
+            }
+        }
+    }
+
+    /// First half of an epoch cut ([`PrimaryCore::prepare_epoch_cut`]),
+    /// or `None` when the order's logging state cannot be cut now: under
+    /// thread scheduling a half-captured schedule record would be lost by
+    /// the snapshot/suffix split. An open interval is closed first so the
+    /// flushed prefix is self-contained.
+    pub(crate) fn prepare_epoch_cut(&mut self, acct: &mut TimeAccount) -> Option<Vec<(u8, Bytes)>> {
+        if let LogOrder::Schedule { pending_from: Some(_), .. } = self.order {
+            return None;
+        }
+        self.close_interval(acct);
+        Some(self.core.prepare_epoch_cut(acct))
     }
 }
 
-impl Coordinator for LockSyncPrimary {
+impl Coordinator for Primary {
     fn mode(&self) -> &'static str {
-        "lock-sync-primary"
+        match self.order {
+            LogOrder::Locks { .. } => "lock-sync-primary",
+            LogOrder::Intervals { .. } => "lock-interval-primary",
+            LogOrder::Schedule { .. } => "ts-primary",
+        }
     }
 
     fn stop(&mut self) -> Option<StopReason> {
-        self.common.stop()
+        self.core.stop()
+    }
+
+    fn check_preempt(&mut self, t: &ThreadObs<'_>, acct: &mut TimeAccount) -> bool {
+        if let LogOrder::Schedule { last_br, .. } = &mut self.order {
+            // The extra interpreter-loop work that tracks progress (the
+            // paper's dominant "Misc" overhead). With block-granular fusion
+            // the counters materialize once per consult, not once per unit:
+            // a PC update at each block boundary, plus one `br_cnt` store
+            // when any control flow happened since the last consult.
+            let mut cost = self.core.cost.ts_pc_track;
+            let last = last_br.entry(t.t.0).or_insert(0);
+            if t.br_cnt > *last {
+                *last = t.br_cnt;
+                cost += self.core.cost.ts_br_track;
+            }
+            acct.charge(Category::Misc, cost);
+        }
+        false
     }
 
     fn note_units(&mut self, n: u64, acct: &mut TimeAccount) {
-        self.common.tick_n(n, acct);
+        self.core.tick_n(n, acct);
+    }
+
+    fn on_switch(
+        &mut self,
+        from: Option<&ThreadSnap>,
+        _reason: SwitchReason,
+        to: &ThreadSnap,
+        acct: &mut TimeAccount,
+    ) {
+        let LogOrder::Schedule { pending_from, .. } = &mut self.order else { return };
+        if let Some(f) = from {
+            if f.vt.is_some() {
+                *pending_from = Some(f.clone());
+            }
+        }
+        let Some(next) = &to.vt else {
+            return; // switches to system threads are not replicated
+        };
+        let Some(prev) = pending_from.take() else { return };
+        let Some(t) = prev.vt else { return };
+        if prev.t != to.t {
+            let rec = Record::Sched {
+                t,
+                br_cnt: prev.br_cnt,
+                method: prev.method.map(|m| m.0).unwrap_or(u32::MAX),
+                pc_off: prev.pc,
+                mon_cnt: prev.mon_cnt,
+                l_asn: prev.blocked_lasn,
+                in_native: prev.in_native,
+                next: next.clone(),
+            };
+            let cost = self.core.cost.sched_record;
+            self.core.log(rec, Category::Resched, cost, acct);
+        }
     }
 
     fn post_monitor_acquire(
@@ -1407,33 +1521,55 @@ impl Coordinator for LockSyncPrimary {
         l_asn: u64,
         acct: &mut TimeAccount,
     ) -> Option<u64> {
-        let vt = PrimaryCore::vt(t);
-        let (l_id, assigned) = match l_id {
-            Some(id) => (id, None),
-            None => {
-                // First acquisition anywhere: assign the virtual lock id
-                // and log the id map (§4.2).
-                let id = self.next_l_id;
-                self.next_l_id += 1;
-                let id_map_cost = self.common.cost.id_map_record;
-                self.common.log(
-                    Record::IdMap { l_id: id, t: vt.clone(), t_asn: t.t_asn },
+        let assigned = match &mut self.order {
+            LogOrder::Locks { next_l_id } => {
+                let vt = PrimaryCore::vt(t);
+                let (l_id, assigned) = match l_id {
+                    Some(id) => (id, None),
+                    None => {
+                        // First acquisition anywhere: assign the virtual
+                        // lock id and log the id map (§4.2).
+                        let id = *next_l_id;
+                        *next_l_id += 1;
+                        let id_map_cost = self.core.cost.id_map_record;
+                        self.core.log(
+                            Record::IdMap { l_id: id, t: vt.clone(), t_asn: t.t_asn },
+                            Category::LockAcquire,
+                            id_map_cost,
+                            acct,
+                        );
+                        (id, Some(id))
+                    }
+                };
+                let lock_cost = self.core.cost.lock_record;
+                self.core.log(
+                    Record::LockAcq { t: vt, t_asn: t.t_asn, l_id, l_asn },
                     Category::LockAcquire,
-                    id_map_cost,
+                    lock_cost,
                     acct,
                 );
-                (id, Some(id))
+                assigned
             }
+            LogOrder::Intervals { open } => {
+                let vt = PrimaryCore::vt(t);
+                let extended = match open {
+                    Some((open_t, _, count)) if *open_t == vt => {
+                        *count += 1;
+                        true
+                    }
+                    _ => false,
+                };
+                acct.charge(Category::LockAcquire, self.core.cost.interval_update);
+                if !extended {
+                    self.close_interval(acct);
+                    self.order = LogOrder::Intervals { open: Some((vt, t.t_asn, 1)) };
+                }
+                None
+            }
+            LogOrder::Schedule { .. } => return None,
         };
-        let lock_cost = self.common.cost.lock_record;
-        self.common.log(
-            Record::LockAcq { t: vt, t_asn: t.t_asn, l_id, l_asn },
-            Category::LockAcquire,
-            lock_cost,
-            acct,
-        );
-        self.common.stats.locks_acquired += 1;
-        self.common.stats.largest_lasn = self.common.stats.largest_lasn.max(l_asn);
+        self.core.stats.locks_acquired += 1;
+        self.core.stats.largest_lasn = self.core.stats.largest_lasn.max(l_asn);
         assigned
     }
 
@@ -1444,7 +1580,7 @@ impl Coordinator for LockSyncPrimary {
         _args: &[Value],
         acct: &mut TimeAccount,
     ) -> NativeDirective {
-        self.common.pre_native(decl, acct)
+        self.core.pre_native(decl, acct)
     }
 
     fn post_native(
@@ -1456,124 +1592,13 @@ impl Coordinator for LockSyncPrimary {
         env: &ftjvm_vm::SimEnv,
         acct: &mut TimeAccount,
     ) {
-        self.common.post_native(env, t, decl, outcome, output_id, acct);
-    }
-
-    fn begin_output(
-        &mut self,
-        t: &ThreadObs<'_>,
-        _decl: &NativeDecl,
-        acct: &mut TimeAccount,
-    ) -> u64 {
-        self.common.begin_output(t, acct)
-    }
-
-    fn on_exit(&mut self, acct: &mut TimeAccount) {
-        self.common.finish(acct);
-    }
-}
-
-/// Primary coordinator for **interval-compressed replicated lock
-/// synchronization** — the DejaVu-style optimization the paper's related
-/// work points at ("there would only be 56 intervals instead of 700258
-/// lock acquisitions"). Globally-consecutive acquisitions by one thread
-/// collapse into a single [`Record::LockInterval`]; virtual lock ids and
-/// id maps become unnecessary because the backup enforces a *total* order
-/// over all acquisitions rather than a per-lock order.
-#[derive(Debug)]
-pub struct IntervalPrimary {
-    /// Shared primary machinery.
-    pub common: PrimaryCore,
-    open: Option<(VtPath, u64, u64)>, // (thread, t_asn_start, count)
-}
-
-impl IntervalPrimary {
-    /// Creates the coordinator.
-    pub fn new(common: PrimaryCore) -> Self {
-        IntervalPrimary { common, open: None }
-    }
-
-    /// Closes the open acquisition interval, logging it. A no-op when no
-    /// interval is open. Epoch cuts call this so the flushed prefix is
-    /// self-contained.
-    pub(crate) fn close_open(&mut self, acct: &mut TimeAccount) {
-        if let Some((t, t_asn_start, count)) = self.open.take() {
-            let cost = self.common.cost.lock_record;
-            self.common.log(
-                Record::LockInterval { t, t_asn_start, count },
-                Category::LockAcquire,
-                cost,
-                acct,
-            );
-        }
-    }
-}
-
-impl Coordinator for IntervalPrimary {
-    fn mode(&self) -> &'static str {
-        "lock-interval-primary"
-    }
-
-    fn stop(&mut self) -> Option<StopReason> {
-        self.common.stop()
-    }
-
-    fn note_units(&mut self, n: u64, acct: &mut TimeAccount) {
-        self.common.tick_n(n, acct);
-    }
-
-    fn post_monitor_acquire(
-        &mut self,
-        t: &ThreadObs<'_>,
-        _obj: ObjRef,
-        _l_id: Option<u64>,
-        l_asn: u64,
-        acct: &mut TimeAccount,
-    ) -> Option<u64> {
-        let vt = PrimaryCore::vt(t);
-        let extended = match &mut self.open {
-            Some((open_t, _, count)) if *open_t == vt => {
-                *count += 1;
-                true
-            }
-            _ => false,
-        };
-        acct.charge(Category::LockAcquire, self.common.cost.interval_update);
-        if !extended {
-            self.close_open(acct);
-            self.open = Some((vt, t.t_asn, 1));
-        }
-        self.common.stats.locks_acquired += 1;
-        self.common.stats.largest_lasn = self.common.stats.largest_lasn.max(l_asn);
-        None
-    }
-
-    fn pre_native(
-        &mut self,
-        _t: &ThreadObs<'_>,
-        decl: &NativeDecl,
-        _args: &[Value],
-        acct: &mut TimeAccount,
-    ) -> NativeDirective {
-        self.common.pre_native(decl, acct)
-    }
-
-    fn post_native(
-        &mut self,
-        t: &ThreadObs<'_>,
-        decl: &NativeDecl,
-        outcome: &NativeOutcome,
-        output_id: Option<u64>,
-        env: &ftjvm_vm::SimEnv,
-        acct: &mut TimeAccount,
-    ) {
-        // The result record must be ordered after the interval that covers
+        // A result record must be ordered after the interval that covers
         // the acquisitions preceding it — close the interval first when the
         // native was intercepted.
-        if decl.nondeterministic || self.common.se_manages(&decl.name) {
-            self.close_open(acct);
+        if decl.nondeterministic || self.core.se_manages(&decl.name) {
+            self.close_interval(acct);
         }
-        self.common.post_native(env, t, decl, outcome, output_id, acct);
+        self.core.post_native(env, t, decl, outcome, output_id, acct);
     }
 
     fn begin_output(
@@ -1582,147 +1607,15 @@ impl Coordinator for IntervalPrimary {
         _decl: &NativeDecl,
         acct: &mut TimeAccount,
     ) -> u64 {
-        // Output commit is a synchronization point: the open interval must
+        // Output commit is a synchronization point: an open interval must
         // reach the backup with everything else.
-        self.close_open(acct);
-        self.common.begin_output(t, acct)
+        self.close_interval(acct);
+        self.core.begin_output(t, acct)
     }
 
     fn on_exit(&mut self, acct: &mut TimeAccount) {
-        self.close_open(acct);
-        self.common.finish(acct);
-    }
-}
-
-/// Primary coordinator for **replicated thread scheduling** (§4.2).
-#[derive(Debug)]
-pub struct TsPrimary {
-    /// Shared primary machinery.
-    pub common: PrimaryCore,
-    /// The last application thread that yielded (its progress snapshot),
-    /// pending the next application dispatch.
-    pending_from: Option<ThreadSnap>,
-    /// Last observed `br_cnt` per thread, to charge `br_cnt`-maintenance
-    /// costs once per control-flow change.
-    last_br: HashMap<u32, u64>,
-}
-
-impl TsPrimary {
-    /// Creates the coordinator.
-    pub fn new(common: PrimaryCore) -> Self {
-        TsPrimary { common, pending_from: None, last_br: HashMap::new() }
-    }
-
-    /// Creates the coordinator for a backup promoting to primary, seeding
-    /// the per-thread branch counters from the replayed VM so progress
-    /// accounting continues rather than restarting.
-    pub fn resumed(common: PrimaryCore, last_br: HashMap<u32, u64>) -> Self {
-        TsPrimary { common, pending_from: None, last_br }
-    }
-
-    /// True when no schedule record is half-captured — the only moment an
-    /// epoch cut is sound under replicated thread scheduling (a pending
-    /// yield snapshot would be lost by the snapshot/suffix split).
-    pub(crate) fn cut_ready(&self) -> bool {
-        self.pending_from.is_none()
-    }
-}
-
-impl Coordinator for TsPrimary {
-    fn mode(&self) -> &'static str {
-        "ts-primary"
-    }
-
-    fn stop(&mut self) -> Option<StopReason> {
-        self.common.stop()
-    }
-
-    fn check_preempt(&mut self, t: &ThreadObs<'_>, acct: &mut TimeAccount) -> bool {
-        // The extra interpreter-loop work that tracks progress (the
-        // paper's dominant "Misc" overhead). With block-granular fusion
-        // the counters materialize once per consult, not once per unit: a
-        // PC update at each block boundary, plus one `br_cnt` store when
-        // any control flow happened since the last consult.
-        let mut cost = self.common.cost.ts_pc_track;
-        let last = self.last_br.entry(t.t.0).or_insert(0);
-        if t.br_cnt > *last {
-            *last = t.br_cnt;
-            cost += self.common.cost.ts_br_track;
-        }
-        acct.charge(Category::Misc, cost);
-        false
-    }
-
-    fn note_units(&mut self, n: u64, acct: &mut TimeAccount) {
-        self.common.tick_n(n, acct);
-    }
-
-    fn on_switch(
-        &mut self,
-        from: Option<&ThreadSnap>,
-        _reason: SwitchReason,
-        to: &ThreadSnap,
-        acct: &mut TimeAccount,
-    ) {
-        if let Some(f) = from {
-            if f.vt.is_some() {
-                self.pending_from = Some(f.clone());
-            }
-        }
-        if to.vt.is_none() {
-            return; // switches to system threads are not replicated
-        }
-        if let Some(prev) = self.pending_from.take() {
-            if prev.t != to.t {
-                let rec = Record::Sched {
-                    t: prev.vt.clone().expect("pending_from is an app thread"),
-                    br_cnt: prev.br_cnt,
-                    method: prev.method.map(|m| m.0).unwrap_or(u32::MAX),
-                    pc_off: prev.pc,
-                    mon_cnt: prev.mon_cnt,
-                    l_asn: prev.blocked_lasn,
-                    in_native: prev.in_native,
-                    next: to.vt.clone().expect("checked vt above"),
-                };
-                let cost = self.common.cost.sched_record;
-                self.common.log(rec, Category::Resched, cost, acct);
-            }
-        }
-    }
-
-    fn begin_output(
-        &mut self,
-        t: &ThreadObs<'_>,
-        _decl: &NativeDecl,
-        acct: &mut TimeAccount,
-    ) -> u64 {
-        self.common.begin_output(t, acct)
-    }
-
-    fn pre_native(
-        &mut self,
-        _t: &ThreadObs<'_>,
-        decl: &NativeDecl,
-        _args: &[Value],
-        acct: &mut TimeAccount,
-    ) -> NativeDirective {
-        self.common.pre_native(decl, acct)
-    }
-
-    fn post_native(
-        &mut self,
-        t: &ThreadObs<'_>,
-        decl: &NativeDecl,
-        outcome: &NativeOutcome,
-        output_id: Option<u64>,
-        env: &ftjvm_vm::SimEnv,
-        acct: &mut TimeAccount,
-    ) {
-        self.common.post_native(env, t, decl, outcome, output_id, acct);
-    }
-
-    fn on_exit(&mut self, acct: &mut TimeAccount) {
-        self.common.finish(acct);
+        self.close_interval(acct);
+        self.core.finish(acct);
     }
 }
 

@@ -28,19 +28,20 @@
 //! resolved with the side-effect handlers' `test` — which is sound then,
 //! because the detection instant is after the primary's last action.
 
-use crate::backup::{BackupLog, IntervalBackup, LockSyncBackup, ResumeSeed, TsBackup};
+use crate::backup::{Backup, BackupLog, NativeReplay, ReplayOrder, ResumeSeed, Schedule};
 use crate::codec::build_snapshot_chunk;
 use crate::ftjvm::{FtConfig, LockVariant, PairReport, ReplicationMode};
 use crate::pair::PairTask;
 use crate::primary::{
-    decode_vt_map, IntervalPrimary, LockSyncPrimary, LogChannel, PrimaryCore, ReliableLink,
-    TsPrimary, EXT_CODEC_CTX, EXT_COUNTERS, EXT_ND_SEQ, EXT_OUT_SEQ, EXT_SE_LATEST,
+    decode_vt_map, LogChannel, LogOrder, Primary, PrimaryCore, ReliableLink, EXT_CODEC_CTX,
+    EXT_COUNTERS, EXT_ND_SEQ, EXT_OUT_SEQ, EXT_SE_LATEST,
 };
+use crate::se::SeRegistry;
 use crate::stats::ReplicationStats;
 use bytes::Bytes;
 use ftjvm_netsim::{
     Category, ChannelStats, FaultPlan, HeartbeatMonitor, LossyChannel, SharedLink, SimChannel,
-    SimTime, WireReader,
+    SimTime, WireError, WireReader,
 };
 use ftjvm_vm::ThreadIdx;
 use ftjvm_vm::{
@@ -92,55 +93,55 @@ pub enum Role {
 /// The coordinator driving one replica's VM (private: which concrete
 /// coordinator a role maps to is the runtime's business).
 enum ReplicaCoord {
-    LockPrimary(LockSyncPrimary),
-    IntervalPrimary(IntervalPrimary),
-    TsPrimary(TsPrimary),
-    LockBackup(LockSyncBackup),
-    IntervalBackup(IntervalBackup),
-    TsBackup(TsBackup),
+    Primary(Box<Primary>),
+    Backup(Box<Backup>),
 }
 
 impl ReplicaCoord {
     fn as_dyn(&mut self) -> &mut dyn Coordinator {
         match self {
-            ReplicaCoord::LockPrimary(c) => c,
-            ReplicaCoord::IntervalPrimary(c) => c,
-            ReplicaCoord::TsPrimary(c) => c,
-            ReplicaCoord::LockBackup(c) => c,
-            ReplicaCoord::IntervalBackup(c) => c,
-            ReplicaCoord::TsBackup(c) => c,
+            ReplicaCoord::Primary(c) => c.as_mut(),
+            ReplicaCoord::Backup(c) => c.as_mut(),
         }
     }
 
     fn primary_core_mut(&mut self) -> Option<&mut PrimaryCore> {
         match self {
-            ReplicaCoord::LockPrimary(c) => Some(&mut c.common),
-            ReplicaCoord::IntervalPrimary(c) => Some(&mut c.common),
-            ReplicaCoord::TsPrimary(c) => Some(&mut c.common),
-            _ => None,
+            ReplicaCoord::Primary(c) => Some(&mut c.core),
+            ReplicaCoord::Backup(_) => None,
+        }
+    }
+
+    fn backup(&self) -> Option<&Backup> {
+        match self {
+            ReplicaCoord::Primary(_) => None,
+            ReplicaCoord::Backup(c) => Some(c),
         }
     }
 }
 
-/// One replica: a VM plus its replication coordinator, tagged with its
-/// [`Role`]. Created by [`ReplicaRuntime`]; stepped in bounded instruction
-/// slices so a co-simulation driver can interleave a pair.
+/// One replica: a VM plus its replication coordinator, whose side gives
+/// the replica its [`Role`]. Created by [`ReplicaRuntime`]; stepped in
+/// bounded instruction slices so a co-simulation driver can interleave a
+/// pair.
 pub struct Replica {
-    role: Role,
     vm: Vm,
     coord: ReplicaCoord,
 }
 
 impl std::fmt::Debug for Replica {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Replica").field("role", &self.role).field("now", &self.now()).finish()
+        f.debug_struct("Replica").field("role", &self.role()).field("now", &self.now()).finish()
     }
 }
 
 impl Replica {
     /// This replica's role.
     pub fn role(&self) -> Role {
-        self.role
+        match &self.coord {
+            ReplicaCoord::Primary(_) => Role::Primary,
+            ReplicaCoord::Backup(b) => Role::Backup { lag_budget: b.lag_budget() },
+        }
     }
 
     /// The replica's current simulated instant.
@@ -172,41 +173,12 @@ impl Replica {
     /// Returns an error for a malformed frame, or if called on a replica
     /// that is not a backup.
     pub fn feed_frame(&mut self, arrival: SimTime, frame: Bytes) -> Result<u32, VmError> {
-        let Replica { vm, coord, .. } = self;
-        let core = vm.core_mut();
+        let ReplicaCoord::Backup(b) = &mut self.coord else {
+            return Err(VmError::Internal("feed_frame on a non-backup replica".into()));
+        };
+        let core = self.vm.core_mut();
         core.acct.wait_until(Category::Communication, arrival);
-        match coord {
-            ReplicaCoord::LockBackup(c) => c.feed_frame(frame),
-            ReplicaCoord::IntervalBackup(c) => c.feed_frame(frame),
-            ReplicaCoord::TsBackup(c) => c.feed_frame(frame, &mut core.acct),
-            _ => Err(VmError::Internal("feed_frame on a non-backup replica".into())),
-        }
-    }
-
-    /// Bulk [`Replica::feed_frame`]: streams a whole buffered suffix at one
-    /// arrival instant, fanning seal verification and stateless record
-    /// decode out across `threads` workers. The backup's resulting state is
-    /// byte-identical to feeding the frames one at a time — only the host
-    /// wall-clock spent decoding changes. Returns the total heartbeat count.
-    ///
-    /// # Errors
-    /// Returns an error for a malformed frame, or if called on a replica
-    /// that is not a backup.
-    pub fn feed_frames_bulk(
-        &mut self,
-        arrival: SimTime,
-        frames: Vec<Bytes>,
-        threads: usize,
-    ) -> Result<u32, VmError> {
-        let Replica { vm, coord, .. } = self;
-        let core = vm.core_mut();
-        core.acct.wait_until(Category::Communication, arrival);
-        match coord {
-            ReplicaCoord::LockBackup(c) => c.feed_frames(frames, threads),
-            ReplicaCoord::IntervalBackup(c) => c.feed_frames(frames, threads),
-            ReplicaCoord::TsBackup(c) => c.feed_frames(frames, threads, &mut core.acct),
-            _ => Err(VmError::Internal("feed_frames_bulk on a non-backup replica".into())),
-        }
+        b.feed_frame(frame, &mut core.acct)
     }
 
     /// Promotes a streaming backup: the stream ended (the primary failed
@@ -214,15 +186,9 @@ impl Replica {
     /// is restored from the received side-effect snapshots, and replay may
     /// run past the log into the live phase.
     pub fn finish_stream(&mut self) {
-        {
-            let Replica { vm, coord, .. } = &mut *self;
-            let core = vm.core_mut();
-            match coord {
-                ReplicaCoord::LockBackup(c) => c.finish_stream(&mut core.env, &core.acct),
-                ReplicaCoord::IntervalBackup(c) => c.finish_stream(&mut core.env, &core.acct),
-                ReplicaCoord::TsBackup(c) => c.finish_stream(&mut core.env, &mut core.acct),
-                _ => {}
-            }
+        if let ReplicaCoord::Backup(b) = &mut self.coord {
+            let core = self.vm.core_mut();
+            b.finish_stream(&mut core.env, &mut core.acct);
         }
         self.vm.poll_suspended(self.coord.as_dyn());
     }
@@ -267,12 +233,7 @@ impl Replica {
     /// Epoch marks a streaming backup has absorbed — its epoch
     /// acknowledgment (0 for primaries).
     pub(crate) fn epochs_absorbed(&self) -> u64 {
-        match &self.coord {
-            ReplicaCoord::LockBackup(c) => c.epochs_absorbed(),
-            ReplicaCoord::IntervalBackup(c) => c.epochs_absorbed(),
-            ReplicaCoord::TsBackup(c) => c.epochs_absorbed(),
-            _ => 0,
-        }
+        self.coord.backup().map_or(0, Backup::epochs_absorbed)
     }
 
     /// Relays the backup's epoch acknowledgment into the primary's stats.
@@ -312,44 +273,18 @@ impl Replica {
     /// (re-integration state transfer needs a fresh snapshot now), but
     /// the quiescence and coordinator-readiness gates still apply.
     fn cut_epoch(&mut self, force: bool) -> Result<bool, VmError> {
-        let wants = match self.coord.primary_core_mut() {
-            Some(core) => force || core.wants_epoch_cut(),
-            None => false,
-        };
-        if !wants || !self.vm.quiescent() {
+        let ReplicaCoord::Primary(p) = &mut self.coord else { return Ok(false) };
+        if !(force || p.core.wants_epoch_cut()) || !self.vm.quiescent() {
             return Ok(false);
         }
-        let Replica { vm, coord, .. } = self;
-        let ext = {
-            let core = vm.core_mut();
-            match coord {
-                ReplicaCoord::LockPrimary(c) => c.common.prepare_epoch_cut(&mut core.acct),
-                ReplicaCoord::IntervalPrimary(c) => {
-                    // Close the open acquisition interval so the flushed
-                    // prefix is self-contained.
-                    c.close_open(&mut core.acct);
-                    c.common.prepare_epoch_cut(&mut core.acct)
-                }
-                ReplicaCoord::TsPrimary(c) => {
-                    if !c.cut_ready() {
-                        return Ok(false);
-                    }
-                    c.common.prepare_epoch_cut(&mut core.acct)
-                }
-                _ => return Ok(false),
-            }
+        let Some(ext) = p.prepare_epoch_cut(&mut self.vm.core_mut().acct) else {
+            return Ok(false);
         };
-        let blob =
-            vm.snapshot(&ext).map_err(|e| VmError::Internal(format!("epoch snapshot: {e}")))?;
-        let core = vm.core_mut();
-        match coord {
-            ReplicaCoord::LockPrimary(c) => c.common.commit_epoch(blob, &mut core.acct),
-            ReplicaCoord::IntervalPrimary(c) => c.common.commit_epoch(blob, &mut core.acct),
-            ReplicaCoord::TsPrimary(c) => c.common.commit_epoch(blob, &mut core.acct),
-            // The primary gate above makes this unreachable in practice;
-            // fail typed rather than aborting the whole process.
-            _ => return Err(VmError::Internal("epoch commit on a non-primary replica".into())),
-        };
+        let blob = self
+            .vm
+            .snapshot(&ext)
+            .map_err(|e| VmError::Internal(format!("epoch snapshot: {e}")))?;
+        p.core.commit_epoch(blob, &mut self.vm.core_mut().acct);
         Ok(true)
     }
 
@@ -437,53 +372,33 @@ impl Replica {
     /// backup replica — a driver bug.
     pub(crate) fn into_primary_parts(self) -> Result<(LogChannel, ReplicationStats), VmError> {
         match self.coord {
-            ReplicaCoord::LockPrimary(c) => Ok(c.common.into_parts()),
-            ReplicaCoord::IntervalPrimary(c) => Ok(c.common.into_parts()),
-            ReplicaCoord::TsPrimary(c) => Ok(c.common.into_parts()),
-            _ => Err(VmError::Internal("into_primary_parts on a backup replica".into())),
+            ReplicaCoord::Primary(p) => Ok(p.core.into_parts()),
+            ReplicaCoord::Backup(_) => {
+                Err(VmError::Internal("into_primary_parts on a backup replica".into()))
+            }
         }
     }
 
     /// Backup-side replication statistics (empty for primaries).
     pub(crate) fn backup_stats(&self) -> ReplicationStats {
-        match &self.coord {
-            ReplicaCoord::LockBackup(c) => c.stats().clone(),
-            ReplicaCoord::IntervalBackup(c) => c.stats().clone(),
-            ReplicaCoord::TsBackup(c) => c.stats().clone(),
-            _ => ReplicationStats::default(),
-        }
+        self.coord.backup().map(|b| b.stats().clone()).unwrap_or_default()
     }
 
     /// Simulated instant at which the backup's log replay completed.
     pub(crate) fn recovery_completed_at(&self) -> Option<SimTime> {
-        match &self.coord {
-            ReplicaCoord::LockBackup(c) => c.recovery_completed_at(),
-            ReplicaCoord::IntervalBackup(c) => c.recovery_completed_at(),
-            ReplicaCoord::TsBackup(c) => c.recovery_completed_at(),
-            _ => None,
-        }
+        self.coord.backup().and_then(Backup::recovery_completed_at)
     }
 
     /// True once a backup's replay fully consumed its log (trivially true
     /// for primaries).
     pub(crate) fn recovery_complete(&self) -> bool {
-        match &self.coord {
-            ReplicaCoord::LockBackup(c) => c.recovery_complete(),
-            ReplicaCoord::IntervalBackup(c) => c.recovery_complete(),
-            ReplicaCoord::TsBackup(c) => c.recovery_complete(),
-            _ => true,
-        }
+        self.coord.backup().is_none_or(Backup::recovery_complete)
     }
 
     /// Replay records still unconsumed on a backup — a promotion must run
     /// the VM until this reaches zero (0 for primaries).
     pub(crate) fn replay_pending(&self) -> u64 {
-        match &self.coord {
-            ReplicaCoord::LockBackup(c) => c.replay_pending(),
-            ReplicaCoord::IntervalBackup(c) => c.replay_pending(),
-            ReplicaCoord::TsBackup(c) => c.replay_pending(),
-            _ => 0,
-        }
+        self.coord.backup().map_or(0, Backup::replay_pending)
     }
 
     /// The primary core, for group drivers configuring fan-out, ack
@@ -516,10 +431,10 @@ impl Replica {
     /// Returns a typed error when called on a backup replica.
     pub(crate) fn into_group_parts(self) -> Result<(Vec<LogChannel>, ReplicationStats), VmError> {
         match self.coord {
-            ReplicaCoord::LockPrimary(c) => Ok(c.common.into_group_parts()),
-            ReplicaCoord::IntervalPrimary(c) => Ok(c.common.into_group_parts()),
-            ReplicaCoord::TsPrimary(c) => Ok(c.common.into_group_parts()),
-            _ => Err(VmError::Internal("into_group_parts on a backup replica".into())),
+            ReplicaCoord::Primary(p) => Ok(p.core.into_group_parts()),
+            ReplicaCoord::Backup(_) => {
+                Err(VmError::Internal("into_group_parts on a backup replica".into()))
+            }
         }
     }
 
@@ -542,33 +457,12 @@ impl Replica {
         fault: FaultPlan,
         extra_links: usize,
     ) -> Result<Replica, VmError> {
-        enum Kind {
-            Lock,
-            Interval,
-            Ts,
-        }
-        let Replica { vm, coord, .. } = self;
-        let (se, next_output, kind) = match coord {
-            ReplicaCoord::LockBackup(c) => {
-                let (se, next) = c.into_promotion_parts().map_err(|e| e.at(ThreadIdx(0)))?;
-                (se, next, Kind::Lock)
-            }
-            ReplicaCoord::IntervalBackup(c) => {
-                let (se, next) = c.into_promotion_parts().map_err(|e| e.at(ThreadIdx(0)))?;
-                (se, next, Kind::Interval)
-            }
-            ReplicaCoord::TsBackup(c) => {
-                let (se, next) = c.into_promotion_parts().map_err(|e| e.at(ThreadIdx(0)))?;
-                (se, next, Kind::Ts)
-            }
-            _ => return Err(VmError::Internal("promote on a primary replica".into())),
+        let Replica { vm, coord } = self;
+        let ReplicaCoord::Backup(b) = coord else {
+            return Err(VmError::Internal("promote on a primary replica".into()));
         };
-        let mut core =
-            PrimaryCore::with_transport(rt.make_channel(), rt.cfg.vm.cost.clone(), fault, se);
-        core.flush_threshold = rt.cfg.flush_threshold;
-        core.set_codec(rt.cfg.codec);
-        core.set_heartbeat_interval(rt.cfg.detector.interval());
-        core.set_checkpoint_interval(rt.cfg.checkpoint_interval);
+        let (se, next_output) = b.into_promotion_parts().map_err(|e| e.at(ThreadIdx(0)))?;
+        let mut core = rt.primary_core(fault, se);
         core.seed_output_ids(next_output);
         core.enable_fanout((0..extra_links).map(|_| rt.make_channel()).collect());
         // No standby is live until the driver re-recruits it: mark every
@@ -577,20 +471,62 @@ impl Replica {
             core.mark_link_dead(idx);
         }
         core.enter_degraded();
-        let coord = match kind {
-            Kind::Lock => {
-                let next_l_id = vm.core().monitors.max_lock_id().map_or(0, |m| m + 1);
-                ReplicaCoord::LockPrimary(LockSyncPrimary::resumed(core, next_l_id))
-            }
-            Kind::Interval => ReplicaCoord::IntervalPrimary(IntervalPrimary::new(core)),
-            Kind::Ts => {
-                let last_br: HashMap<u32, u64> =
-                    vm.core().threads.iter().map(|t| (t.idx.0, t.br_cnt)).collect();
-                ReplicaCoord::TsPrimary(TsPrimary::resumed(core, last_br))
-            }
-        };
-        Ok(Replica { role: Role::Primary, vm, coord })
+        let order = rt.log_order(&vm);
+        Ok(Replica { vm, coord: ReplicaCoord::Primary(Box::new(Primary::new(core, order))) })
     }
+}
+
+/// Where a backup replica starts ([`ReplicaRuntime::build_backup`]).
+#[derive(Debug)]
+pub enum BackupStart<'a> {
+    /// Cold: the complete drained log, replayed from the initial state.
+    Log(Vec<Bytes>),
+    /// Hot: an empty log that grows as flushed frames stream in.
+    Stream,
+    /// Hot, resumed from an epoch snapshot blob (re-integration of a
+    /// replacement standby, or snapshot-based cold recovery).
+    Snapshot(&'a [u8]),
+}
+
+/// Per-thread branch counters of `vm`, keyed by thread index.
+fn branch_counters(vm: &Vm) -> HashMap<u32, u64> {
+    vm.core().threads.iter().map(|t| (t.idx.0, t.br_cnt)).collect()
+}
+
+/// Reads the replication-layer extension sections of an epoch snapshot
+/// into a [`ResumeSeed`], replaying the latest pre-cut side-effect payload
+/// into each of `se`'s handlers as if it had arrived on the stream.
+fn resume_seed(ext: &[(u8, Bytes)], se: &mut SeRegistry) -> Result<ResumeSeed, VmError> {
+    let mut seed = ResumeSeed::default();
+    let malformed =
+        |what: &str, e: WireError| VmError::Internal(format!("snapshot ext {what}: {e}"));
+    for (tag, payload) in ext {
+        match *tag {
+            EXT_CODEC_CTX => seed.decoder_ctx = payload.clone(),
+            EXT_ND_SEQ => {
+                seed.nd_consumed = decode_vt_map(payload).map_err(|e| malformed("nd map", e))?;
+            }
+            EXT_OUT_SEQ => {
+                seed.commit_consumed =
+                    decode_vt_map(payload).map_err(|e| malformed("commit map", e))?;
+            }
+            EXT_COUNTERS => {
+                let mut r = WireReader::new(payload.clone());
+                seed.live_output_base = r.get_uvarint().map_err(|e| malformed("counters", e))?;
+            }
+            EXT_SE_LATEST => {
+                let mut r = WireReader::new(payload.clone());
+                let n = r.get_uvarint().map_err(|e| malformed("se count", e))?;
+                for _ in 0..n {
+                    let h = r.get_u8().map_err(|e| malformed("se handler", e))?;
+                    let p = r.get_vbytes().map_err(|e| malformed("se payload", e))?;
+                    se.receive(h, p);
+                }
+            }
+            _ => {}
+        }
+    }
+    Ok(seed)
 }
 
 /// Builds and drives a replica pair over one simulated timeline.
@@ -645,28 +581,14 @@ impl ReplicaRuntime {
         SimEnv::new("primary", world.clone(), self.cfg.primary_skew, self.cfg.primary_env_seed)
     }
 
-    fn backup_env(&self, world: &SharedWorld) -> SimEnv {
-        SimEnv::new("backup", world.clone(), self.cfg.backup_skew, self.cfg.backup_env_seed)
-    }
-
     /// Environment for the standby at `rank` in a replica group. Rank 0
-    /// keeps the pair's exact environment (name, skew, seed) so a group of
-    /// size 2 is byte-identical to the pair; higher ranks get their own
-    /// name and ND seed.
-    fn ranked_backup_env(&self, world: &SharedWorld, rank: u32) -> SimEnv {
-        if rank == 0 {
-            return self.backup_env(world);
-        }
-        SimEnv::new(
-            &format!("backup-r{rank}"),
-            world.clone(),
-            self.cfg.backup_skew,
-            self.cfg.backup_env_seed + rank as u64,
-        )
-    }
-
-    fn ranked_backup_seed(&self, rank: u32) -> u64 {
-        self.cfg.backup_seed + rank as u64
+    /// is the pair's backup (name, skew, seed), so a group of size 2 is
+    /// byte-identical to the pair; higher ranks get their own name and ND
+    /// seed.
+    fn backup_env(&self, world: &SharedWorld, rank: u32) -> SimEnv {
+        let name = if rank == 0 { "backup".to_string() } else { format!("backup-r{rank}") };
+        let seed = self.cfg.backup_env_seed + u64::from(rank);
+        SimEnv::new(&name, world.clone(), self.cfg.backup_skew, seed)
     }
 
     /// Builds a log transport per the configured net-fault plan: an armed
@@ -687,224 +609,125 @@ impl ReplicaRuntime {
         }
     }
 
+    /// The shared primary machinery over a fresh channel, configured per
+    /// [`FtConfig`].
+    fn primary_core(&self, fault: FaultPlan, se: SeRegistry) -> PrimaryCore {
+        let mut core =
+            PrimaryCore::with_transport(self.make_channel(), self.cfg.vm.cost.clone(), fault, se);
+        core.flush_threshold = self.cfg.flush_threshold;
+        core.set_codec(self.cfg.codec);
+        core.set_heartbeat_interval(self.cfg.detector.interval());
+        core.set_checkpoint_interval(self.cfg.checkpoint_interval);
+        core
+    }
+
+    /// The order a primary running `vm` records. Allocators seed from the
+    /// VM so a backup promoting in place never collides with the history
+    /// it replayed: lock ids start past every assigned one, and branch
+    /// counters continue (both are empty at genesis).
+    fn log_order(&self, vm: &Vm) -> LogOrder {
+        match (self.cfg.mode, self.cfg.lock_variant) {
+            (ReplicationMode::LockSync, LockVariant::PerAcquisition) => {
+                LogOrder::Locks { next_l_id: vm.core().monitors.max_lock_id().map_or(0, |m| m + 1) }
+            }
+            (ReplicationMode::LockSync, LockVariant::Intervals) => {
+                LogOrder::Intervals { open: None }
+            }
+            (ReplicationMode::ThreadSched, _) => {
+                LogOrder::Schedule { pending_from: None, last_br: branch_counters(vm) }
+            }
+        }
+    }
+
+    /// The order a backup replaying into `vm` enforces. Under thread
+    /// scheduling the thread current in `vm` is designated: the root at
+    /// genesis, and after an epoch restore the thread current on the
+    /// primary at the cut (which happened with no schedule record
+    /// half-captured).
+    fn replay_order(&self, vm: &Vm) -> ReplayOrder {
+        match (self.cfg.mode, self.cfg.lock_variant) {
+            (ReplicationMode::LockSync, LockVariant::PerAcquisition) => ReplayOrder::Locks,
+            (ReplicationMode::LockSync, LockVariant::Intervals) => ReplayOrder::Intervals,
+            (ReplicationMode::ThreadSched, _) => {
+                let core = vm.core();
+                let designated = core
+                    .current
+                    .and_then(|idx| core.threads.get(idx.0 as usize))
+                    .and_then(|t| t.vt.clone())
+                    .unwrap_or_else(VtPath::root);
+                ReplayOrder::Schedule(Schedule::new(designated, branch_counters(vm)))
+            }
+        }
+    }
+
     /// Builds the primary replica: a VM with the mode's logging
     /// coordinator over a fresh channel.
     ///
     /// # Errors
     /// Propagates program-loading errors.
     pub fn build_primary(&self, world: &SharedWorld, fault: FaultPlan) -> Result<Replica, VmError> {
-        let mut core = PrimaryCore::with_transport(
-            self.make_channel(),
-            self.cfg.vm.cost.clone(),
-            fault,
-            (self.cfg.se_factory)(),
-        );
-        core.flush_threshold = self.cfg.flush_threshold;
-        core.set_codec(self.cfg.codec);
-        core.set_heartbeat_interval(self.cfg.detector.interval());
-        core.set_checkpoint_interval(self.cfg.checkpoint_interval);
+        let core = self.primary_core(fault, (self.cfg.se_factory)());
         let vm = Vm::new(
             self.program.clone(),
             self.natives.clone(),
             self.primary_env(world),
             self.vm_config(self.cfg.primary_seed),
         )?;
-        let coord = match (self.cfg.mode, self.cfg.lock_variant) {
-            (ReplicationMode::LockSync, LockVariant::PerAcquisition) => {
-                ReplicaCoord::LockPrimary(LockSyncPrimary::new(core))
-            }
-            (ReplicationMode::LockSync, LockVariant::Intervals) => {
-                ReplicaCoord::IntervalPrimary(IntervalPrimary::new(core))
-            }
-            (ReplicationMode::ThreadSched, _) => ReplicaCoord::TsPrimary(TsPrimary::new(core)),
-        };
-        Ok(Replica { role: Role::Primary, vm, coord })
+        let order = self.log_order(&vm);
+        Ok(Replica { vm, coord: ReplicaCoord::Primary(Box::new(Primary::new(core, order))) })
     }
 
-    /// Builds a hot (streaming) backup replica whose log starts empty.
+    /// Builds the backup replica at `rank` of a replica group (rank 0 is
+    /// the pair's backup) from `start`: a complete drained log to replay
+    /// from the initial state (cold), an empty stream (hot), or an epoch
+    /// snapshot blob. A snapshot restores the VM, and its
+    /// replication-layer extension sections seed the replay (decoder
+    /// context, consumed-sequence maps, output-id floor, latest
+    /// side-effect payloads), so the replica continues from the cut as if
+    /// it had consumed the whole truncated prefix.
     ///
     /// # Errors
-    /// Propagates program-loading errors.
-    pub fn build_hot_backup(&self, world: &SharedWorld) -> Result<Replica, VmError> {
-        self.build_hot_backup_ranked(world, 0)
-    }
-
-    /// [`build_hot_backup`](ReplicaRuntime::build_hot_backup) for the
-    /// standby at `rank` of a replica group (rank 0 is the pair's backup,
-    /// bit-for-bit).
-    ///
-    /// # Errors
-    /// Propagates program-loading errors.
-    pub fn build_hot_backup_ranked(
+    /// Propagates program-loading and log-decoding errors, and rejects a
+    /// corrupt blob or malformed extension sections.
+    pub fn build_backup(
         &self,
         world: &SharedWorld,
+        start: BackupStart<'_>,
         rank: u32,
     ) -> Result<Replica, VmError> {
-        let se = (self.cfg.se_factory)();
-        let vm = Vm::new(
-            self.program.clone(),
-            self.natives.clone(),
-            self.ranked_backup_env(world, rank),
-            self.vm_config(self.ranked_backup_seed(rank)),
-        )?;
-        let cost = self.cfg.vm.cost.clone();
-        let coord = match (self.cfg.mode, self.cfg.lock_variant) {
-            (ReplicationMode::LockSync, LockVariant::PerAcquisition) => {
-                ReplicaCoord::LockBackup(LockSyncBackup::streaming(world.clone(), se, cost))
-            }
-            (ReplicationMode::LockSync, LockVariant::Intervals) => {
-                ReplicaCoord::IntervalBackup(IntervalBackup::streaming(world.clone(), se, cost))
-            }
-            (ReplicationMode::ThreadSched, _) => {
-                ReplicaCoord::TsBackup(TsBackup::streaming(world.clone(), se, cost))
-            }
-        };
-        Ok(Replica { role: Role::Backup { lag_budget: LagBudget::Hot }, vm, coord })
-    }
-
-    /// Builds a cold backup replica over a fully decoded log (the one
-    /// shared drain-and-replay path — used after a crash *and* by the
-    /// failure-free replay harness).
-    ///
-    /// # Errors
-    /// Propagates program-loading and log-decoding errors.
-    pub fn build_cold_backup(
-        &self,
-        world: &SharedWorld,
-        frames: Vec<Bytes>,
-    ) -> Result<Replica, VmError> {
         let mut se = (self.cfg.se_factory)();
-        let log = BackupLog::decode_parallel(frames, &mut se, self.cfg.replay_threads)?;
-        let mut benv = self.backup_env(world);
-        // SE-handler `restore`: re-create the primary's volatile
-        // environment state (open files at their recovered offsets).
-        se.restore(&mut benv);
-        let vm = Vm::new(
-            self.program.clone(),
-            self.natives.clone(),
-            benv,
-            self.vm_config(self.cfg.backup_seed),
-        )?;
         let cost = self.cfg.vm.cost.clone();
-        let coord = match (self.cfg.mode, self.cfg.lock_variant) {
-            (ReplicationMode::LockSync, LockVariant::PerAcquisition) => {
-                ReplicaCoord::LockBackup(LockSyncBackup::new(log, world.clone(), se, cost))
+        let config = self.vm_config(self.cfg.backup_seed + u64::from(rank));
+        let fresh_vm =
+            |env| Vm::new(self.program.clone(), self.natives.clone(), env, config.clone());
+        let (vm, replay) = match start {
+            BackupStart::Log(frames) => {
+                let log = BackupLog::decode(frames, &mut se)?;
+                let mut env = self.backup_env(world, rank);
+                // SE-handler `restore`: re-create the primary's volatile
+                // environment state (open files at their recovered offsets).
+                se.restore(&mut env);
+                (fresh_vm(env)?, NativeReplay::cold(log, world.clone(), se, cost))
             }
-            (ReplicationMode::LockSync, LockVariant::Intervals) => {
-                ReplicaCoord::IntervalBackup(IntervalBackup::new(log, world.clone(), se, cost))
+            BackupStart::Stream => {
+                let vm = fresh_vm(self.backup_env(world, rank))?;
+                (vm, NativeReplay::streaming(world.clone(), se, cost))
             }
-            (ReplicationMode::ThreadSched, _) => {
-                ReplicaCoord::TsBackup(TsBackup::new(log, world.clone(), se, cost))
-            }
-        };
-        Ok(Replica { role: Role::Backup { lag_budget: LagBudget::Cold }, vm, coord })
-    }
-
-    /// Builds a replacement hot standby from an epoch snapshot blob: the
-    /// VM restores from the blob, the replication-layer extension
-    /// sections seed a *resumed* streaming coordinator (decoder context,
-    /// consumed-sequence maps, output-id floor, latest side-effect
-    /// payloads), and the replica continues from the cut as if it had
-    /// consumed the whole truncated prefix.
-    ///
-    /// # Errors
-    /// Returns an error for a corrupt blob or malformed extension
-    /// sections.
-    pub fn build_resumed_backup(
-        &self,
-        world: &SharedWorld,
-        blob: &[u8],
-    ) -> Result<Replica, VmError> {
-        self.build_resumed_backup_ranked(world, blob, 0)
-    }
-
-    /// [`build_resumed_backup`](ReplicaRuntime::build_resumed_backup) for
-    /// the standby at `rank` of a replica group.
-    ///
-    /// # Errors
-    /// Returns an error for a corrupt blob or malformed extension
-    /// sections.
-    pub fn build_resumed_backup_ranked(
-        &self,
-        world: &SharedWorld,
-        blob: &[u8],
-        rank: u32,
-    ) -> Result<Replica, VmError> {
-        let (vm, ext) = Vm::restore(
-            self.program.clone(),
-            self.natives.clone(),
-            world.clone(),
-            &self.vm_config(self.ranked_backup_seed(rank)),
-            blob,
-        )
-        .map_err(|e| VmError::Internal(format!("restore epoch snapshot: {e}")))?;
-        let mut seed = ResumeSeed::default();
-        let mut se = (self.cfg.se_factory)();
-        for (tag, payload) in &ext {
-            let malformed = |what: &str| VmError::Internal(format!("snapshot ext {what}"));
-            match *tag {
-                EXT_CODEC_CTX => seed.decoder_ctx = payload.clone(),
-                EXT_ND_SEQ => {
-                    seed.nd_consumed =
-                        decode_vt_map(payload).map_err(|e| malformed(&format!("nd map: {e}")))?;
-                }
-                EXT_OUT_SEQ => {
-                    seed.commit_consumed = decode_vt_map(payload)
-                        .map_err(|e| malformed(&format!("commit map: {e}")))?;
-                }
-                EXT_COUNTERS => {
-                    let mut r = WireReader::new(payload.clone());
-                    seed.live_output_base =
-                        r.get_uvarint().map_err(|e| malformed(&format!("counters: {e}")))?;
-                }
-                EXT_SE_LATEST => {
-                    // Replay the latest pre-cut SE-state payload into each
-                    // handler, as if it had arrived on the stream.
-                    let mut r = WireReader::new(payload.clone());
-                    let n = r.get_uvarint().map_err(|e| malformed(&format!("se count: {e}")))?;
-                    for _ in 0..n {
-                        let h = r.get_u8().map_err(|e| malformed(&format!("se handler: {e}")))?;
-                        let p =
-                            r.get_vbytes().map_err(|e| malformed(&format!("se payload: {e}")))?;
-                        se.receive(h, p);
-                    }
-                }
-                _ => {}
-            }
-        }
-        let cost = self.cfg.vm.cost.clone();
-        let coord = match (self.cfg.mode, self.cfg.lock_variant) {
-            (ReplicationMode::LockSync, LockVariant::PerAcquisition) => {
-                ReplicaCoord::LockBackup(LockSyncBackup::resumed(world.clone(), se, cost, seed)?)
-            }
-            (ReplicationMode::LockSync, LockVariant::Intervals) => ReplicaCoord::IntervalBackup(
-                IntervalBackup::resumed(world.clone(), se, cost, seed)?,
-            ),
-            (ReplicationMode::ThreadSched, _) => {
-                // The cut happened with no schedule record half-captured,
-                // so the thread current on the primary is the designated
-                // thread; the restored VM preserves it. Branch counters
-                // seed from the restored threads so progress-cost
-                // accounting continues rather than restarting.
-                let core = vm.core();
-                let designated = core
-                    .current
-                    .and_then(|idx| core.threads.get(idx.0 as usize))
-                    .and_then(|t| t.vt.clone())
-                    .or_else(|| Some(VtPath::root()));
-                let last_br: HashMap<u32, u64> =
-                    core.threads.iter().map(|t| (t.idx.0, t.br_cnt)).collect();
-                ReplicaCoord::TsBackup(TsBackup::resumed(
+            BackupStart::Snapshot(blob) => {
+                let (vm, ext) = Vm::restore(
+                    self.program.clone(),
+                    self.natives.clone(),
                     world.clone(),
-                    se,
-                    cost,
-                    seed,
-                    designated,
-                    last_br,
-                )?)
+                    &config,
+                    blob,
+                )
+                .map_err(|e| VmError::Internal(format!("restore epoch snapshot: {e}")))?;
+                let seed = resume_seed(&ext, &mut se)?;
+                (vm, NativeReplay::resumed(world.clone(), se, cost, seed)?)
             }
         };
-        Ok(Replica { role: Role::Backup { lag_budget: LagBudget::Hot }, vm, coord })
+        let order = self.replay_order(&vm);
+        Ok(Replica { vm, coord: ReplicaCoord::Backup(Box::new(Backup::new(replay, order))) })
     }
 
     /// Runs the primary to completion (or crash) and returns its report,
@@ -939,7 +762,7 @@ impl ReplicaRuntime {
         world: &SharedWorld,
         frames: Vec<Bytes>,
     ) -> Result<(RunReport, ReplicationStats, Option<SimTime>), VmError> {
-        let mut backup = self.build_cold_backup(world, frames)?;
+        let mut backup = self.build_backup(world, BackupStart::Log(frames), 0)?;
         let report = backup.run_to_end()?;
         Ok((report, backup.backup_stats(), backup.recovery_completed_at()))
     }

@@ -5,7 +5,7 @@
 //! ```text
 //! cargo run --release --bin ftjvm-run -- db --mode lock --crash-at 500000
 //! cargo run --release --bin ftjvm-run -- mtrt --mode ts
-//! cargo run --release --bin ftjvm-run -- jack --mode lock --variant intervals --warm
+//! cargo run --release --bin ftjvm-run -- jack --mode lock --variant intervals --backup hot
 //! cargo run --release --bin ftjvm-run -- compress --baseline
 //! ```
 
@@ -38,8 +38,6 @@ fn usage() -> ! {
            --backup cold|hot     cold: store the log, replay at failover (default);\n\
                                  hot: co-simulated standby streams the log and\n\
                                  replays only the unconsumed suffix at failover\n\
-           --warm                account the backup as warm (legacy: failover\n\
-                                 collapses to detection time)\n\
            --checkpoint-interval <n>  cut an epoch snapshot every n flushes:\n\
                                  the acked prefix is truncated on both sides,\n\
                                  bounding log memory to one epoch\n\
@@ -57,9 +55,6 @@ fn usage() -> ! {
            --vote-quorum <q>     BFT-lite: release outputs only once q digest\n\
                                  votes match (requires --group-size)\n\
            --seed <n>            primary scheduler seed (default 11)\n\
-           --threads <n|max>     worker threads for the promotion path's\n\
-                                 suffix decode (results are byte-identical\n\
-                                 for every value; default 1)\n\
            --net-fault <spec>    arm the lossy link; spec is comma-separated\n\
                                  k=v pairs: drop/dup/corrupt/reorder (probabilities),\n\
                                  jitter=<micros>, drop-at/dup-at/corrupt-at=<i;j;..>\n\
@@ -402,7 +397,6 @@ fn main() {
                     _ => usage(),
                 };
             }
-            "--warm" => cfg.warm_backup = true,
             "--checkpoint-interval" => {
                 i += 1;
                 let n = args.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(|| usage());
@@ -428,10 +422,6 @@ fn main() {
                 i += 1;
                 cfg.primary_seed =
                     args.get(i).and_then(|s| s.parse().ok()).unwrap_or_else(|| usage());
-            }
-            "--threads" => {
-                i += 1;
-                cfg.replay_threads = parse_threads(args.get(i));
             }
             "--net-fault" => {
                 i += 1;
@@ -625,6 +615,16 @@ fn main() {
         );
     }
     if report.crashed {
+        let Some(b) = report.backup.as_ref() else {
+            // The standby was dead (killed, or its replacement not yet
+            // live) when the primary crashed: a second fault the pair
+            // cannot mask.
+            let killed = match ckpt_meta {
+                Some((Some(t), ..)) => format!(" (backup killed at {t})"),
+                _ => String::new(),
+            };
+            fail("run lost", &format!("the primary crashed while no standby was live{killed}"))
+        };
         println!("\nprimary CRASHED; {} backup took over:", cfg.lag_budget);
         println!("  detection latency:      {}", report.detection_latency);
         let replay_label = match cfg.lag_budget {
@@ -633,7 +633,6 @@ fn main() {
         };
         println!("  {replay_label}  {}", report.recovery_replay_time);
         println!("  total failover latency: {}", report.failover_latency);
-        let b = report.backup.as_ref().expect("backup ran");
         println!("  backup total:           {}", b.acct.total());
         report
             .check_no_duplicate_outputs()
