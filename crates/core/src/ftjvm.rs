@@ -12,8 +12,9 @@
 //!   backup detects the failure, replays the log, and carries the program
 //!   to completion as the new authority.
 //!
-//! All orchestration lives in [`crate::runtime::ReplicaRuntime`]; the
-//! `run_*` methods here are thin wrappers. Set
+//! All orchestration lives in [`crate::runtime::ReplicaRuntime`] and the
+//! group driver it steps ([`crate::group::GroupTask`]; a pair is a
+//! two-member group); the `run_*` methods here are thin wrappers. Set
 //! [`FtConfig::lag_budget`] to [`LagBudget::Hot`] to co-simulate a hot
 //! standby that streams the log and replays only the unconsumed suffix at
 //! failover.
@@ -306,10 +307,10 @@ impl FtJvm {
         self.run_replicated()
     }
 
-    /// Runs an N-replica group per `gcfg`: rank-ordered promotion chains,
-    /// configurable ack policies, and optional ND-record digest voting
-    /// (requires [`FtConfig::checkpoint_interval`]). See
-    /// [`crate::group::GroupTask`].
+    /// Runs an N-replica group per `gcfg`: rank-ordered promotion chains
+    /// (at size 2, the pair's takeover), configurable ack policies, and
+    /// optional ND-record digest voting (re-integration requires
+    /// [`FtConfig::checkpoint_interval`]). See [`crate::group::GroupTask`].
     ///
     /// # Errors
     /// Propagates fatal VM errors from any replica and configuration
@@ -321,9 +322,9 @@ impl FtJvm {
         crate::group::GroupTask::new(self.runtime(), gcfg)?.run_to_completion()?.into_report()
     }
 
-    /// Runs a checkpointed hot pair per `plan` — backup kill, degraded
-    /// mode, and re-integration (requires
-    /// [`FtConfig::checkpoint_interval`]). See
+    /// Runs a checkpointed pair per `plan` — backup kill, degraded mode,
+    /// and re-integration (requires [`FtConfig::checkpoint_interval`]).
+    /// See
     /// [`crate::runtime::ReplicaRuntime::run_checkpointed`].
     ///
     /// # Errors

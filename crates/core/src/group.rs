@@ -1,8 +1,9 @@
-//! N-replica groups: rank-ordered promotion chains and ND-record quorum
-//! voting (BFT-lite).
+//! Replica groups — the one co-simulation driver: the paper's
+//! primary/backup pair as a two-member group, rank-ordered promotion
+//! chains, and ND-record quorum voting (BFT-lite).
 //!
-//! [`GroupTask`] generalizes [`crate::pair::PairTask`] from one standby to
-//! `k`: the primary fans its sealed frame stream over `k` independent
+//! [`GroupTask`] owns a primary and `k` standbys: the primary fans its
+//! sealed frame stream over `k` independent
 //! links (one [`crate::primary::LogChannel`] per standby, each with its
 //! own send/receive windows on a lossy transport), every standby
 //! acknowledges independently, and output commit waits on a configurable
@@ -38,14 +39,42 @@
 //! Outputs in vote mode release only after the ack policy **and** `q-1`
 //! untainted standby acknowledgments (the primary's own claim is the
 //! `q`-th matching digest).
+//!
+//! # The pair is a two-member group
+//!
+//! At `size == 2` reign end is the paper's takeover, not a promotion: the
+//! lone survivor runs unbounded to the end of the program and the group
+//! finishes — there is no in-place coordinator swap and no seat refill.
+//! The standby is a hot replica, or — under [`LagBudget::Cold`] — a
+//! *log-store member*: an [`EpochStore`] that absorbs its link, re-arms
+//! its failure detector on heartbeats, receives the latest snapshot after
+//! every epoch cut, and acknowledges the epochs it stored. At takeover it
+//! restores that snapshot and replays the stored suffix from the
+//! detection instant (the whole log when no epoch was cut).
+//! [`ReplicaRuntime::run_pair`] and
+//! [`ReplicaRuntime::run_checkpointed`] map the [`GroupReport`] back to a
+//! [`crate::PairReport`]; only the whole-log cold pair, whose primary runs
+//! unsliced, stays outside this driver.
+//!
+//! # Granularity contract
+//!
+//! Each internal pass runs *exactly one* [`SLICE_UNITS`] primary slice,
+//! then the membership bookkeeping and delivery, then the epoch cut, so
+//! stepping a task more finely or coarsely from outside (the fleet's
+//! windows) cannot change the simulated timeline. A two-member survivor
+//! is deliberately *not* sliced: under thread scheduling the replaying
+//! coordinator charges its progress tracking once per executed block, and
+//! a slice bound splits blocks, so a survivor sliced at [`SLICE_UNITS`]
+//! replays 0.15–0.5 ms slower in simulated time than the paper's
+//! run-to-end takeover.
 
+use crate::backup::EpochStore;
 use crate::codec::{
     flush_digest, frame_digest, frame_is_epoch_mark, frame_is_heartbeat, frame_is_snapshot_chunk,
     frame_is_vote, parse_vote_frame, SnapshotAssembler,
 };
-use crate::pair::pump_backup;
 use crate::primary::{AckPolicy, PrimaryCore};
-use crate::runtime::{BackupStart, Replica, ReplicaRuntime, SLICE_UNITS};
+use crate::runtime::{BackupStart, LagBudget, Replica, ReplicaRuntime, SLICE_UNITS};
 use crate::stats::ReplicationStats;
 use bytes::Bytes;
 use ftjvm_netsim::{ChannelStats, FaultPlan, HeartbeatMonitor, SimTime};
@@ -75,8 +104,10 @@ pub struct GroupConfig {
     /// the unit count.
     pub kill_standby_after_units: Option<(usize, u64)>,
     /// Re-recruit dead, evicted, and re-homing standbys via snapshot +
-    /// chunked state transfer. Without it any lost standby stays lost and
-    /// each promotion leaves the new primary permanently degraded.
+    /// chunked state transfer (requires
+    /// [`crate::FtConfig::checkpoint_interval`]). Without it any lost
+    /// standby stays lost and each promotion leaves the new primary
+    /// permanently degraded.
     pub reintegrate: bool,
 }
 
@@ -111,7 +142,8 @@ pub enum GroupEvent {
     /// Every standby is dead: the primary stopped waiting for
     /// acknowledgments.
     Degraded {
-        /// The degraded-entry instant.
+        /// The degraded-entry instant: the reverse detector's deadline
+        /// (or the eviction that emptied the live set).
         at: SimTime,
     },
     /// A standby finished state transfer and went live.
@@ -129,9 +161,11 @@ pub enum GroupEvent {
         member: u32,
     },
     /// The reigning primary crashed or was demoted by the vote quorum. If
-    /// a standby survived, the next reign is already running (promotion,
-    /// catch-up replay, and re-homing kick-off happened inside the step);
-    /// otherwise the next step returns [`GroupEvent::Done`].
+    /// a standby survived a group of three or more, the next reign is
+    /// already running (promotion, catch-up replay, and re-homing kick-off
+    /// happened inside the step); otherwise — a two-member takeover ran
+    /// to the end, or the group was lost — the next step returns
+    /// [`GroupEvent::Done`].
     PrimaryFailed {
         /// The crash/demotion instant.
         at: SimTime,
@@ -143,7 +177,8 @@ pub enum GroupEvent {
     Done,
 }
 
-/// One successful rank-ordered promotion.
+/// One successful failover: a rank-ordered promotion, or a two-member
+/// group's takeover.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FailoverRecord {
     /// The 0-based reign that ended.
@@ -152,7 +187,10 @@ pub struct FailoverRecord {
     pub crash_at: SimTime,
     /// Heartbeat-deadline detection latency on the promoting standby.
     pub detection_latency: SimTime,
-    /// Verified-prefix suffix replay time after promotion.
+    /// Replay left to do at the detection instant: the verified suffix
+    /// for a hot standby, the stored suffix on top of the latest snapshot
+    /// for a log store — or, when the store holds no snapshot, the whole
+    /// log replayed from the initial state.
     pub suffix_replay: SimTime,
     /// Member id of the standby that promoted.
     pub promoted: u32,
@@ -166,6 +204,8 @@ pub struct FailoverRecord {
 pub struct ReignStats {
     /// Member id of the replica that reigned.
     pub member: u32,
+    /// The reigning primary's run report (up to its crash or demotion).
+    pub report: RunReport,
     /// Its replication statistics.
     pub stats: ReplicationStats,
     /// Per-link channel statistics, in rank-slot order.
@@ -201,8 +241,24 @@ pub struct GroupReport {
     pub completed: bool,
     /// True when at least one reign ended in a crash or demotion.
     pub crashed: bool,
-    /// Every successful promotion, in order.
+    /// Every successful failover, in order.
     pub failovers: Vec<FailoverRecord>,
+    /// Replay report and backup-side statistics of the standby that
+    /// finished the run: a two-member group's survivor after takeover, a
+    /// promoting standby that completed the program inside the dead
+    /// reign's log, or else the lowest-rank healthy standby that replayed
+    /// the final reign's stream. `None` when no standby did.
+    pub standby: Option<(RunReport, ReplicationStats)>,
+    /// When the scheduled standby kill fired.
+    pub standby_killed_at: Option<SimTime>,
+    /// When a primary first went degraded: the reverse detector's
+    /// deadline for a dead last standby, an eviction that emptied the
+    /// live set, or a promotion (a new reign starts degraded while its
+    /// survivors re-home).
+    pub degraded_at: Option<SimTime>,
+    /// When the latest state transfer completed and its standby went
+    /// live.
+    pub reintegrated_at: Option<SimTime>,
     /// Standbys evicted on digest-vote mismatches.
     pub evictions: u64,
     /// Primary-side statistics per reign, in order.
@@ -321,6 +377,9 @@ impl VoteGate {
     }
 
     fn admit_all(&mut self, delivered: Vec<(SimTime, Bytes)>) -> Vec<(SimTime, Bytes)> {
+        if !self.enabled {
+            return delivered;
+        }
         let mut out = Vec::with_capacity(delivered.len());
         for (arrival, frame) in delivered {
             self.admit(arrival, frame, &mut out);
@@ -333,6 +392,10 @@ impl VoteGate {
 enum SlotState {
     /// A live hot standby consuming the stream.
     Live(Box<Replica>),
+    /// A log-store member (a two-member group's cold standby): durably
+    /// stores the stream and the latest snapshot, executes nothing until
+    /// takeover.
+    Store(Box<EpochStore>),
     /// Killed, evicted, or awaiting re-homing; no replacement recruited.
     Dead,
     /// State transfer in progress: record frames buffer here until the
@@ -366,6 +429,12 @@ struct Slot {
 impl Slot {
     fn is_live(&self) -> bool {
         matches!(self.state, SlotState::Live(_))
+    }
+
+    /// A running standby of either kind — one that can be killed and can
+    /// take over.
+    fn is_up(&self) -> bool {
+        matches!(self.state, SlotState::Live(_) | SlotState::Store(_))
     }
 }
 
@@ -406,6 +475,10 @@ pub struct GroupTask {
     failovers: Vec<FailoverRecord>,
     reigns: Vec<ReignStats>,
     timeline: Vec<GroupMoment>,
+    standby: Option<(RunReport, ReplicationStats)>,
+    standby_killed_at: Option<SimTime>,
+    degraded_at: Option<SimTime>,
+    reintegrated_at: Option<SimTime>,
     report: Option<GroupReport>,
 }
 
@@ -440,6 +513,7 @@ fn group_epoch_ack(slots: &[Slot]) -> Option<u64> {
     for s in slots {
         let acked = match &s.state {
             SlotState::Live(b) => s.ack_base + b.epochs_absorbed(),
+            SlotState::Store(store) => store.epochs_stored,
             SlotState::Transfer(_) => s.ack_base,
             SlotState::Dead => continue,
         };
@@ -449,10 +523,12 @@ fn group_epoch_ack(slots: &[Slot]) -> Option<u64> {
 }
 
 /// Routes delivered frames into one rank slot: live standbys consume them
-/// through the vote gate, dead slots lose them, and during state transfer
-/// snapshot chunks assemble (completion brings the replacement up at the
-/// final chunk's arrival and replays the gated buffered suffix). Returns
-/// the reintegration instant when the transfer completed.
+/// through the vote gate, a log store absorbs them (re-arming its
+/// detector on heartbeats), dead slots lose them, and during state
+/// transfer snapshot chunks assemble (completion brings the replacement
+/// up at the final chunk's arrival and replays the gated buffered
+/// suffix). Returns the reintegration instant when the transfer
+/// completed.
 fn deliver_slot(
     rt: &ReplicaRuntime,
     world: &SharedWorld,
@@ -468,6 +544,16 @@ fn deliver_slot(
             let released = slot.gate.admit_all(delivered);
             pump_backup(&mut b, &mut slot.monitor, released, &mut slot.report)?;
             slot.state = SlotState::Live(b);
+            Ok(None)
+        }
+        SlotState::Store(mut store) => {
+            for (arrival, frame) in slot.gate.admit_all(delivered) {
+                if frame_is_heartbeat(&frame) {
+                    slot.monitor.observe(arrival);
+                }
+                store.absorb(frame)?;
+            }
+            slot.state = SlotState::Store(store);
             Ok(None)
         }
         SlotState::Transfer(mut buffered) => {
@@ -514,22 +600,107 @@ fn deliver_slot(
     }
 }
 
+/// Feeds delivered `(arrival, frame)` pairs into a hot standby, re-arming
+/// its failure detector at each heartbeat arrival, then lets it replay
+/// until it catches up with the log (starves) or finishes.
+fn pump_backup(
+    backup: &mut Replica,
+    monitor: &mut HeartbeatMonitor,
+    delivered: Vec<(SimTime, Bytes)>,
+    done: &mut Option<RunReport>,
+) -> Result<(), VmError> {
+    if delivered.is_empty() {
+        return Ok(());
+    }
+    for (arrival, frame) in delivered {
+        if backup.feed_frame(arrival, frame)? > 0 {
+            monitor.observe(arrival);
+        }
+    }
+    if done.is_some() {
+        return Ok(());
+    }
+    backup.poll_suspended();
+    match backup.step(u64::MAX)? {
+        SliceOutcome::Paused => {}
+        SliceOutcome::Completed(r) | SliceOutcome::Stopped(r) => *done = Some(r),
+        SliceOutcome::Budget => {
+            Err(VmError::Internal("unbounded backup slice exhausted its budget".into()))?;
+        }
+    }
+    Ok(())
+}
+
+/// A two-member group's takeover: the survivor learns of the failure at
+/// `detection_at` and runs unbounded to the end of the program. A hot
+/// standby replays the suffix it has not consumed yet; a log store
+/// restores its latest snapshot and replays the stored suffix, or — with
+/// no snapshot — replays the whole log from the initial state. Returns
+/// the survivor's run report, its backup-side statistics, and the replay
+/// left to do at detection.
+fn take_over(
+    rt: &ReplicaRuntime,
+    world: &SharedWorld,
+    slot: Slot,
+    detection_at: SimTime,
+) -> Result<(RunReport, ReplicationStats, SimTime), VmError> {
+    let (mut b, report, store_peak) = match slot.state {
+        SlotState::Live(mut b) => {
+            b.wait_until(detection_at);
+            (b, slot.report, 0)
+        }
+        SlotState::Store(store) => {
+            let peak = store.peak_frames;
+            match store.into_recovery() {
+                (Some((_epoch, blob)), suffix) => {
+                    let mut b = rt.build_backup(world, BackupStart::Snapshot(&blob), slot.rank)?;
+                    for frame in suffix {
+                        b.feed_frame(detection_at, frame)?;
+                    }
+                    (Box::new(b), None, peak)
+                }
+                (None, log) => {
+                    let (r, mut stats, recovered_at) = rt.replay_log(world, log)?;
+                    stats.peak_backup_pending = stats.peak_backup_pending.max(peak);
+                    let replay = recovered_at.unwrap_or_else(|| r.acct.now());
+                    return Ok((r, stats, replay));
+                }
+            }
+        }
+        SlotState::Dead | SlotState::Transfer(_) => {
+            return Err(VmError::Internal("takeover by a standby that is not up".into()));
+        }
+    };
+    b.finish_stream();
+    let report = match report {
+        Some(r) => r,
+        None => b.run_to_end()?,
+    };
+    let recovered_at = b.recovery_completed_at().unwrap_or_else(|| report.acct.now());
+    let replay =
+        if recovered_at > detection_at { recovered_at - detection_at } else { SimTime::ZERO };
+    let mut stats = b.backup_stats();
+    stats.peak_backup_pending = stats.peak_backup_pending.max(store_peak);
+    Ok((report, stats, replay))
+}
+
 impl GroupTask {
     /// Builds a replica group: a primary fanning out to `size - 1` ranked
-    /// hot standbys. Rank slot 0 is the classic pair backup, bit for bit.
+    /// standbys. Standbys are hot, except that a two-member group under
+    /// [`LagBudget::Cold`] gets a log-store member (the module docs).
     ///
     /// # Errors
-    /// Returns an error when [`crate::FtConfig::checkpoint_interval`] is
-    /// unset (state transfer grounds every join, so groups require
-    /// checkpointing), when the size or quorum is out of range, and
+    /// Returns an error when [`GroupConfig::reintegrate`] is set but
+    /// [`crate::FtConfig::checkpoint_interval`] is not (state transfer
+    /// grounds every join), when the size or quorum is out of range, and
     /// propagates program-loading errors.
     pub fn new(rt: ReplicaRuntime, cfg: GroupConfig) -> Result<Self, VmError> {
         if cfg.size < 2 {
             return Err(VmError::Internal("a replica group needs at least 2 members".into()));
         }
-        if rt.cfg().checkpoint_interval.is_none() {
+        if cfg.reintegrate && rt.cfg().checkpoint_interval.is_none() {
             return Err(VmError::Internal(
-                "replica groups require FtConfig::checkpoint_interval (state transfer grounds every join)"
+                "re-integration requires FtConfig::checkpoint_interval (state transfer grounds every join)"
                     .into(),
             ));
         }
@@ -555,13 +726,18 @@ impl GroupTask {
             // replacements promoted later are honest.
             core.set_byzantine(rt.cfg().net_fault.clone());
         }
+        let store = cfg.size == 2 && rt.cfg().lag_budget == LagBudget::Cold;
         let mut slots = Vec::with_capacity(cfg.size - 1);
         for i in 0..cfg.size - 1 {
-            let b = rt.build_backup(&world, BackupStart::Stream, i as u32)?;
+            let state = if store {
+                SlotState::Store(Box::default())
+            } else {
+                SlotState::Live(Box::new(rt.build_backup(&world, BackupStart::Stream, i as u32)?))
+            };
             slots.push(Slot {
                 member: i as u32 + 1,
                 rank: i as u32,
-                state: SlotState::Live(Box::new(b)),
+                state,
                 monitor: rt.cfg().detector.monitor(SimTime::ZERO),
                 assembler: SnapshotAssembler::new(),
                 ack_base: 0,
@@ -585,6 +761,10 @@ impl GroupTask {
             failovers: Vec::new(),
             reigns: Vec::new(),
             timeline: Vec::new(),
+            standby: None,
+            standby_killed_at: None,
+            degraded_at: None,
+            reintegrated_at: None,
             report: None,
         })
     }
@@ -659,6 +839,10 @@ impl GroupTask {
             completed,
             crashed: self.crashes > 0,
             failovers: std::mem::take(&mut self.failovers),
+            standby: self.standby.take(),
+            standby_killed_at: self.standby_killed_at,
+            degraded_at: self.degraded_at,
+            reintegrated_at: self.reintegrated_at,
             evictions: self.evictions,
             reigns: std::mem::take(&mut self.reigns),
             timeline: std::mem::take(&mut self.timeline),
@@ -679,7 +863,7 @@ impl GroupTask {
             st.units_run += SLICE_UNITS;
             let now_p = st.primary.now();
             let mut killed_now: Option<u32> = None;
-            let mut degraded_now = false;
+            let mut degraded_now: Option<SimTime> = None;
             let mut reintegrated_now: Option<(SimTime, u32)> = None;
             let mut evicted_now: Option<u32> = None;
 
@@ -690,15 +874,19 @@ impl GroupTask {
                 if !self.standby_kill_done && st.units_run >= after {
                     self.standby_kill_done = true;
                     if let Some(slot) = st.slots.get_mut(idx) {
+                        let was_up = slot.is_up();
                         if let SlotState::Live(mut dead) =
                             std::mem::replace(&mut slot.state, SlotState::Dead)
                         {
                             dead.fail_env();
+                        }
+                        if was_up {
                             slot.report = None;
                             slot.dead_deadline =
                                 Some(self.rt.cfg().detector.monitor(now_p).deadline());
                             let member = slot.member;
                             killed_now = Some(member);
+                            self.standby_killed_at = Some(now_p);
                             self.note(now_p, format!("standby m{member} killed"));
                         }
                     }
@@ -707,7 +895,7 @@ impl GroupTask {
 
             // Reverse failure detection, per slot: acknowledgment waits
             // keep counting a killed standby's link until its deadline
-            // lapses (the same phantom-ack window the pair documents).
+            // lapses (the phantom-ack window `run_checkpointed` documents).
             for idx in 0..st.slots.len() {
                 let Some(deadline) = st.slots[idx].dead_deadline else { continue };
                 if now_p < deadline {
@@ -719,7 +907,8 @@ impl GroupTask {
                 core.mark_link_dead(idx);
                 if core.live_links() == 0 && !core.is_degraded() {
                     core.enter_degraded();
-                    degraded_now = true;
+                    degraded_now = Some(deadline);
+                    self.degraded_at.get_or_insert(deadline);
                     self.note(deadline, format!("standby m{member} declared dead; degraded"));
                 } else {
                     self.note(deadline, format!("standby m{member} declared dead"));
@@ -759,6 +948,7 @@ impl GroupTask {
                 if let Some(at) = deliver_slot(&self.rt, &self.world, &mut st.slots[idx], ready)? {
                     let member = st.slots[idx].member;
                     reintegrated_now = Some((at, member));
+                    self.reintegrated_at = Some(at);
                     self.note(at, format!("standby m{member} reintegrated at rank slot {idx}"));
                 }
             }
@@ -795,7 +985,8 @@ impl GroupTask {
                         core.mark_link_dead(idx);
                         if core.live_links() == 0 && !core.is_degraded() {
                             core.enter_degraded();
-                            degraded_now = true;
+                            degraded_now = Some(now_p);
+                            self.degraded_at.get_or_insert(now_p);
                         }
                         self.evictions += 1;
                         evicted_now = Some(member);
@@ -815,13 +1006,21 @@ impl GroupTask {
 
             match outcome {
                 SliceOutcome::Budget => {
-                    st.primary.try_cut_epoch()?;
+                    if st.primary.try_cut_epoch()? {
+                        // A log store keeps the snapshot itself: it must
+                        // hold it before it may drop the stored prefix.
+                        for idx in 0..st.slots.len() {
+                            if matches!(st.slots[idx].state, SlotState::Store(_)) {
+                                st.primary.ship_latest_snapshot_on(idx)?;
+                            }
+                        }
+                    }
                     let event = if let Some(member) = evicted_now {
                         Some(GroupEvent::Evicted { at: now_p, member })
                     } else if let Some((at, member)) = reintegrated_now {
                         Some(GroupEvent::Reintegrated { at, member })
-                    } else if degraded_now {
-                        Some(GroupEvent::Degraded { at: now_p })
+                    } else if let Some(at) = degraded_now {
+                        Some(GroupEvent::Degraded { at })
                     } else if let Some(member) = killed_now {
                         Some(GroupEvent::StandbyKilled { at: now_p, member })
                     } else if now_p >= until {
@@ -858,13 +1057,19 @@ impl GroupTask {
             if let Some(slot) = slots.get_mut(idx) {
                 if let Some(at) = deliver_slot(&self.rt, &self.world, slot, drained)? {
                     let m = slot.member;
+                    self.reintegrated_at = Some(at);
                     self.note(at, format!("standby m{m} reintegrated during takeover"));
                 }
             }
             channels.push(link.stats());
         }
         let demoted_by_vote = pstats.byzantine_demotions > 0;
-        self.reigns.push(ReignStats { member, stats: pstats, channels });
+        self.reigns.push(ReignStats {
+            member,
+            report: primary_report.clone(),
+            stats: pstats,
+            channels,
+        });
 
         if !crashed {
             // Failure-free reign end: the stream is over; every healthy
@@ -878,8 +1083,12 @@ impl GroupTask {
                 }
                 if let SlotState::Live(b) = &mut slot.state {
                     b.finish_stream();
-                    if slot.report.is_none() {
-                        slot.report = Some(b.run_to_end()?);
+                    let report = match slot.report.take() {
+                        Some(r) => r,
+                        None => b.run_to_end()?,
+                    };
+                    if self.standby.is_none() {
+                        self.standby = Some((report, b.backup_stats()));
                     }
                 }
             }
@@ -899,15 +1108,35 @@ impl GroupTask {
         );
 
         // Rank-ordered promotion: the lowest-rank live standby takes over.
-        let Some(chosen) = slots.iter().position(Slot::is_live) else {
+        let Some(chosen) = slots.iter().position(Slot::is_up) else {
             self.note(crash_at, "no live standby: the group is lost".into());
             self.finish(primary_report, member, false);
             return Ok(GroupEvent::PrimaryFailed { at: crash_at, reign });
         };
         let slot = slots.remove(chosen);
-        let SlotState::Live(mut b) = slot.state else { unreachable!("position() checked is_live") };
         let detection_at = slot.monitor.deadline().max(crash_at);
         let detection_latency = detection_at - crash_at;
+        let promoted = slot.member;
+        if self.cfg.size == 2 {
+            // The paper's takeover: the survivor finishes the program.
+            let (report, stats, suffix_replay) =
+                take_over(&self.rt, &self.world, slot, detection_at)?;
+            self.failovers.push(FailoverRecord {
+                reign,
+                crash_at,
+                detection_latency,
+                suffix_replay,
+                promoted,
+                demoted_by_vote,
+            });
+            self.note(detection_at, format!("m{promoted} took over"));
+            self.standby = Some((report.clone(), stats));
+            self.finish(report, promoted, true);
+            return Ok(GroupEvent::PrimaryFailed { at: crash_at, reign });
+        }
+        let SlotState::Live(mut b) = slot.state else {
+            return Err(VmError::Internal("log stores only serve two-member groups".into()));
+        };
         b.wait_until(detection_at);
         b.finish_stream();
         // Catch-up replay of the verified suffix, sliced so promotion
@@ -936,13 +1165,14 @@ impl GroupTask {
             crash_at,
             detection_latency,
             suffix_replay,
-            promoted: slot.member,
+            promoted,
             demoted_by_vote,
         });
-        self.note(detection_at, format!("m{} promoted (reign {})", slot.member, reign + 1));
+        self.note(detection_at, format!("m{promoted} promoted (reign {})", reign + 1));
 
         if let Some(r) = completed_report {
-            self.finish(r, slot.member, true);
+            self.standby = Some((r.clone(), b.backup_stats()));
+            self.finish(r, promoted, true);
             return Ok(GroupEvent::PrimaryFailed { at: crash_at, reign });
         }
 
@@ -963,7 +1193,7 @@ impl GroupTask {
             core.set_ack_policy(self.cfg.ack_policy);
             core.set_vote_quorum(self.cfg.vote_quorum);
         }
-        let promoted_member = slot.member;
+        self.degraded_at.get_or_insert(detection_at);
         let mut new_slots = Vec::with_capacity(slots.len() + 1);
         let reslot = |member: u32, rank: u32| Slot {
             member,
@@ -992,7 +1222,7 @@ impl GroupTask {
         }
         self.state = GState::Run(Box::new(ReignState {
             reign: reign + 1,
-            member: promoted_member,
+            member: promoted,
             primary: np,
             slots: new_slots,
             units_run: 0,

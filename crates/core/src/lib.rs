@@ -58,7 +58,6 @@ pub mod codec;
 pub mod fleet;
 pub mod ftjvm;
 pub mod group;
-pub mod pair;
 pub mod parallel;
 pub mod primary;
 pub mod records;
@@ -81,7 +80,6 @@ pub use ftjvm_netsim::{NetFaultPlan, WireCodec};
 pub use group::{
     FailoverRecord, GroupConfig, GroupEvent, GroupMoment, GroupReport, GroupTask, ReignStats,
 };
-pub use pair::{PairEvent, PairTask};
 pub use parallel::{run_windowed, PoolOptions, PoolStats, WindowTask};
 pub use primary::{AckPolicy, LogChannel, PrimaryCore, ReliableLink, SendWindow};
 pub use records::{LoggedResult, Record, WireValue};

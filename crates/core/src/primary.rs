@@ -619,12 +619,6 @@ impl PrimaryCore {
         (links, self.stats)
     }
 
-    /// The replication channel, for a co-simulation driver that pulls
-    /// delivered frames for a hot standby while the primary still runs.
-    pub fn channel_mut(&mut self) -> &mut LogChannel {
-        &mut self.channel
-    }
-
     /// Replication statistics so far (final values via
     /// [`into_parts`](PrimaryCore::into_parts)).
     pub fn stats(&self) -> &ReplicationStats {
@@ -1271,22 +1265,10 @@ impl PrimaryCore {
         self.degraded = false;
     }
 
-    /// Replaces the log transport (re-integration points the primary at a
-    /// fresh channel toward the replacement backup) and returns the old
-    /// one.
-    pub fn swap_channel(&mut self, new: LogChannel) -> LogChannel {
-        self.swap_link(0, new)
-    }
-
-    /// Sends one pre-built frame (snapshot chunk or retained suffix frame
-    /// during state transfer), charging the communication cost.
-    pub fn send_raw(&mut self, payload: Bytes, acct: &mut TimeAccount) {
-        self.send_raw_on(0, payload, acct);
-    }
-
-    /// [`send_raw`](PrimaryCore::send_raw) targeted at one fan-out link
-    /// (state transfer re-integrates a single standby; the other links
-    /// must not see its snapshot chunks).
+    /// Sends one pre-built frame (a snapshot chunk) on fan-out link `idx`
+    /// only, charging the communication cost (state transfer
+    /// re-integrates a single standby; the other links must not see its
+    /// snapshot chunks).
     pub fn send_raw_on(&mut self, idx: usize, payload: Bytes, acct: &mut TimeAccount) {
         let now = acct.now();
         let cost = self.link_mut(idx).send(now, payload);

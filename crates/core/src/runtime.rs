@@ -4,7 +4,8 @@
 //! This module owns the orchestration that used to be buried in the
 //! `FtJvm::run_*` drivers. A [`Replica`] is a VM plus its replication
 //! coordinator, tagged with a [`Role`]; a [`ReplicaRuntime`] builds a
-//! primary/backup pair over a shared world and drives it:
+//! primary/backup pair over a shared world and runs it — every pair but
+//! the whole-log cold one as a two-member [`GroupTask`]:
 //!
 //! * **Cold backup** ([`LagBudget::Cold`]) — the paper's baseline (§1): the
 //!   backup only stores the log during normal operation; on failure it
@@ -31,7 +32,7 @@
 use crate::backup::{Backup, BackupLog, NativeReplay, ReplayOrder, ResumeSeed, Schedule};
 use crate::codec::build_snapshot_chunk;
 use crate::ftjvm::{FtConfig, LockVariant, PairReport, ReplicationMode};
-use crate::pair::PairTask;
+use crate::group::{GroupConfig, GroupReport, GroupTask};
 use crate::primary::{
     decode_vt_map, LogChannel, LogOrder, Primary, PrimaryCore, ReliableLink, EXT_CODEC_CTX,
     EXT_COUNTERS, EXT_ND_SEQ, EXT_OUT_SEQ, EXT_SE_LATEST,
@@ -40,13 +41,13 @@ use crate::se::SeRegistry;
 use crate::stats::ReplicationStats;
 use bytes::Bytes;
 use ftjvm_netsim::{
-    Category, ChannelStats, FaultPlan, HeartbeatMonitor, LossyChannel, SharedLink, SimChannel,
-    SimTime, WireError, WireReader,
+    Category, ChannelStats, FaultPlan, LossyChannel, SharedLink, SimChannel, SimTime, WireError,
+    WireReader,
 };
 use ftjvm_vm::ThreadIdx;
 use ftjvm_vm::{
-    Coordinator, NativeRegistry, Program, RunReport, SharedWorld, SimEnv, SliceOutcome, Vm,
-    VmConfig, VmError, VtPath,
+    Coordinator, NativeRegistry, Program, RunOutcome, RunReport, SharedWorld, SimEnv, SliceOutcome,
+    Vm, VmConfig, VmError, VtPath, World,
 };
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -210,26 +211,6 @@ impl Replica {
         self.vm.core_mut().env.fail();
     }
 
-    /// The primary's replication channel (None for backups).
-    fn channel_mut(&mut self) -> Option<&mut LogChannel> {
-        self.coord.primary_core_mut().map(|c| c.channel_mut())
-    }
-
-    /// Verified in-order frames delivered on this primary's channel by
-    /// `now` — the co-simulation drivers' receive step.
-    ///
-    /// # Errors
-    /// Returns a typed error (instead of panicking) when called on a
-    /// replica without a channel — a misconfigured pair.
-    pub(crate) fn recv_ready(&mut self, now: SimTime) -> Result<Vec<(SimTime, Bytes)>, VmError> {
-        match self.channel_mut() {
-            Some(ch) => Ok(ch.recv_ready(now)),
-            None => Err(VmError::Internal(
-                "co-simulated primary replica has no replication channel".into(),
-            )),
-        }
-    }
-
     /// Epoch marks a streaming backup has absorbed — its epoch
     /// acknowledgment (0 for primaries).
     pub(crate) fn epochs_absorbed(&self) -> u64 {
@@ -240,14 +221,6 @@ impl Replica {
     pub(crate) fn relay_epoch_ack(&mut self, acked: u64) {
         if let Some(core) = self.coord.primary_core_mut() {
             core.record_epoch_ack(acked);
-        }
-    }
-
-    /// Enters degraded mode (no live backup: output commits stop waiting
-    /// for acknowledgments). No-op on backups.
-    pub(crate) fn enter_degraded(&mut self) {
-        if let Some(core) = self.coord.primary_core_mut() {
-            core.enter_degraded();
         }
     }
 
@@ -288,20 +261,10 @@ impl Replica {
         Ok(true)
     }
 
-    /// Ships the latest epoch snapshot as chunk frames over the current
-    /// channel (re-integration state transfer and the cold durable
-    /// store). Returns the number of chunks sent.
-    ///
-    /// # Errors
-    /// Returns an error when there is no snapshot to ship or the replica
-    /// is not a primary.
-    pub(crate) fn ship_latest_snapshot(&mut self) -> Result<u64, VmError> {
-        self.ship_latest_snapshot_on(0)
-    }
-
-    /// [`ship_latest_snapshot`](Replica::ship_latest_snapshot) targeted at
-    /// one fan-out link (group re-integration recruits a single standby;
-    /// its peers must not see the chunks).
+    /// Ships the latest epoch snapshot as chunk frames over fan-out link
+    /// `idx` only (re-integration recruits a single standby, and its peers
+    /// must not see the chunks; a log store keeps every snapshot).
+    /// Returns the number of chunks sent.
     ///
     /// # Errors
     /// Returns an error when there is no snapshot to ship or the replica
@@ -328,17 +291,11 @@ impl Replica {
     }
 
     /// The primary half of re-integration: force-cut an epoch at the
-    /// current boundary, point the log at `fresh` (the link toward the
-    /// replacement), and ship the snapshot as chunk frames. Returns false
-    /// — leaving the channel untouched — when the VM is not at a cuttable
+    /// current boundary, point fan-out link `idx` at `fresh` (the link
+    /// toward the replacement), and ship the snapshot as chunk frames on
+    /// it while the other links keep streaming undisturbed. Returns false
+    /// — leaving the link untouched — when the VM is not at a cuttable
     /// boundary yet (the driver retries next slice).
-    pub(crate) fn begin_state_transfer(&mut self, fresh: LogChannel) -> Result<bool, VmError> {
-        self.begin_state_transfer_on(0, fresh)
-    }
-
-    /// [`begin_state_transfer`](Replica::begin_state_transfer) targeted at
-    /// one fan-out link: re-recruits the standby at rank slot `idx` while
-    /// the other links keep streaming undisturbed.
     pub(crate) fn begin_state_transfer_on(
         &mut self,
         idx: usize,
@@ -533,11 +490,11 @@ fn resume_seed(ext: &[(u8, Bytes)], se: &mut SeRegistry) -> Result<ResumeSeed, V
 ///
 /// Owns the program, natives, and configuration; each run builds fresh
 /// replicas over a fresh [`ftjvm_vm::World`]. [`FtJvm`](crate::FtJvm)'s
-/// `run_*` drivers are thin wrappers around this type, which is itself a
-/// thin wrapper around [`PairTask`] — the pair as a resumable value that
-/// a fleet scheduler can multiplex. Cloning is cheap (the program is
-/// behind an [`Arc`]); a clone that shares a [`SharedLink`] contends for
-/// the same trunk bandwidth.
+/// `run_*` drivers are thin wrappers around this type, which runs every
+/// pair but the whole-log cold one as a two-member [`GroupTask`] — the
+/// resumable value a fleet scheduler multiplexes. Cloning is cheap (the
+/// program is behind an [`Arc`]); a clone that shares a [`SharedLink`]
+/// contends for the same trunk bandwidth.
 #[derive(Clone)]
 pub struct ReplicaRuntime {
     program: Arc<Program>,
@@ -730,6 +687,23 @@ impl ReplicaRuntime {
         Ok(Replica { vm, coord: ReplicaCoord::Backup(Box::new(Backup::new(replay, order))) })
     }
 
+    /// Runs a primary on `world` to completion or to its fail-stop, whose
+    /// volatile environment state is lost with the process (the external
+    /// world survives). Returns its report, channel and statistics.
+    fn run_primary(
+        &self,
+        world: &SharedWorld,
+        fault: FaultPlan,
+    ) -> Result<(RunReport, LogChannel, ReplicationStats), VmError> {
+        let mut primary = self.build_primary(world, fault)?;
+        let report = primary.run_to_end()?;
+        if report.outcome == RunOutcome::Stopped {
+            primary.fail_env();
+        }
+        let (channel, stats) = primary.into_primary_parts()?;
+        Ok((report, channel, stats))
+    }
+
     /// Runs the primary to completion (or crash) and returns its report,
     /// the drained log frames, and the replication and channel statistics
     /// — the log-producing half shared by the replay harness and the
@@ -742,9 +716,7 @@ impl ReplicaRuntime {
         world: &SharedWorld,
         fault: FaultPlan,
     ) -> Result<(RunReport, Vec<Bytes>, ReplicationStats, ChannelStats), VmError> {
-        let mut primary = self.build_primary(world, fault)?;
-        let report = primary.run_to_end()?;
-        let (mut channel, stats) = primary.into_primary_parts()?;
+        let (report, mut channel, stats) = self.run_primary(world, fault)?;
         let frames = channel.drain().into_iter().map(|(_, frame)| frame).collect();
         // Stats after the drain: on a lossy link the takeover delivery
         // itself detects duplicates/corruption worth counting.
@@ -767,46 +739,25 @@ impl ReplicaRuntime {
         Ok((report, backup.backup_stats(), backup.recovery_completed_at()))
     }
 
-    /// Runs the pair with a **cold** backup. The primary runs to
-    /// completion or crash; on a crash the drained log is replayed from
-    /// the initial state. Bit-for-bit the pre-runtime semantics: record
-    /// counts, byte stats, and console output are unchanged.
+    /// Runs a checkpointed pair per `plan` — backup kill, degraded mode,
+    /// re-integration — as a two-member [`GroupTask`]. The standby is the
+    /// one [`run_pair`](ReplicaRuntime::run_pair) selects: hot, or a
+    /// log-store member under [`LagBudget::Cold`].
     ///
-    /// # Errors
-    /// Propagates fatal VM errors from either replica.
-    pub fn run_cold(&self, fault: FaultPlan) -> Result<PairReport, VmError> {
-        PairTask::cold(self.clone(), fault)?.run_to_completion()?.into_pair_report()
-    }
-
-    /// Runs the pair with a **hot** standby: primary and backup
-    /// co-simulated on one timeline. On a crash, detection fires from
-    /// missed heartbeats, the backup is promoted mid-run, and only the
-    /// unconsumed log suffix is replayed — so
-    /// [`PairReport::failover_latency`] is measured, not derived.
-    ///
-    /// # Errors
-    /// Propagates fatal VM errors from either replica.
-    pub fn run_hot(&self, fault: FaultPlan) -> Result<PairReport, VmError> {
-        PairTask::hot(self.clone(), fault)?.run_to_completion()?.into_pair_report()
-    }
-
-    /// Runs a hot pair under epoch checkpointing, with optional
-    /// backup-kill and re-integration per `plan`.
-    ///
-    /// The co-simulation loop is [`run_hot`](ReplicaRuntime::run_hot)'s,
-    /// plus the epoch protocol: the primary cuts a checkpoint every
-    /// `checkpoint_interval` flushes at a quiescent boundary, the driver
-    /// relays the backup's absorbed-epoch count back as the ack, and the
-    /// retained replay suffix truncates at each cut. When the plan kills
-    /// the backup, the primary's reverse-heartbeat detector fires after
-    /// the configured deadline and the primary enters *degraded mode*
-    /// (output commits stop waiting for acknowledgments, the gap is
-    /// counted in [`ReplicationStats::degraded_outputs`]). With
-    /// `reintegrate`, the primary then recruits a replacement standby by
-    /// force-cutting a fresh epoch and shipping the snapshot as chunk
-    /// frames over a fresh channel (lossy + reliability sublayer when the
-    /// net-fault plan is armed), after which the pair is 1-fault tolerant
-    /// again — a subsequent primary crash fails over to the replacement.
+    /// The co-simulation adds the epoch protocol: the primary cuts a
+    /// checkpoint every `checkpoint_interval` flushes at a quiescent
+    /// boundary, the driver relays the backup's absorbed-epoch count back
+    /// as the ack, and the retained replay suffix truncates at each cut.
+    /// When the plan kills the backup, the primary's reverse-heartbeat
+    /// detector fires after the configured deadline: the primary marks
+    /// the link dead and enters *degraded mode* (output commits stop
+    /// waiting for acknowledgments, the gap is counted in
+    /// [`ReplicationStats::degraded_outputs`]). With `reintegrate`, the
+    /// primary then recruits a replacement standby by force-cutting a
+    /// fresh epoch and shipping the snapshot as chunk frames over a fresh
+    /// channel (lossy + reliability sublayer when the net-fault plan is
+    /// armed), after which the pair is 1-fault tolerant again — a
+    /// subsequent primary crash fails over to the replacement.
     ///
     /// Modeling note: between the kill and the detector firing, output
     /// commits still wait on the (phantom) transport acknowledgments of
@@ -817,42 +768,88 @@ impl ReplicaRuntime {
     /// Returns an error when `checkpoint_interval` is unset, and
     /// propagates fatal VM errors from any replica.
     pub fn run_checkpointed(&self, plan: CheckpointPlan) -> Result<CheckpointReport, VmError> {
-        PairTask::checkpointed(self.clone(), plan)?.run_to_completion()?.into_checkpoint_report()
-    }
-
-    /// Runs the pair with a **cold** backup under epoch checkpointing:
-    /// the backup durably stores the stream in an
-    /// [`EpochStore`](crate::backup::EpochStore) (the
-    /// primary ships snapshot chunks at every cut, since the durable
-    /// store needs the snapshot itself before it may truncate) and drops
-    /// the stored prefix at each epoch mark, bounding stored memory to
-    /// one epoch. On a primary crash, recovery restores the latest
-    /// snapshot and replays only the stored suffix instead of the whole
-    /// log.
-    ///
-    /// # Errors
-    /// Returns an error when `checkpoint_interval` is unset, and
-    /// propagates fatal VM errors.
-    pub fn run_cold_checkpointed(&self, fault: FaultPlan) -> Result<PairReport, VmError> {
-        PairTask::cold_checkpointed(self.clone(), fault)?.run_to_completion()?.into_pair_report()
+        if self.cfg.checkpoint_interval.is_none() {
+            return Err(VmError::Internal(
+                "run_checkpointed requires FtConfig::checkpoint_interval".into(),
+            ));
+        }
+        self.run_group_pair(plan)
     }
 
     /// Runs the pair per the configured [`LagBudget`] and
-    /// [`FtConfig::checkpoint_interval`] (unset: the seed-identical
-    /// non-checkpointed paths).
+    /// [`FtConfig::checkpoint_interval`]. A hot standby is co-simulated:
+    /// on a crash, detection fires from missed heartbeats and only the
+    /// unconsumed log suffix is replayed, so
+    /// [`PairReport::failover_latency`] is measured, not derived. A cold
+    /// backup only stores the log: with checkpointing it is a log-store
+    /// member that recovers from its latest snapshot; without, the
+    /// primary runs unsliced and the drained log is replayed from the
+    /// initial state (the paper's baseline).
     ///
     /// # Errors
     /// Propagates fatal VM errors from either replica.
     pub fn run_pair(&self, fault: FaultPlan) -> Result<PairReport, VmError> {
-        match (self.cfg.lag_budget, self.cfg.checkpoint_interval) {
-            (LagBudget::Cold, None) => self.run_cold(fault),
-            (LagBudget::Cold, Some(_)) => self.run_cold_checkpointed(fault),
-            (LagBudget::Hot, None) => self.run_hot(fault),
-            (LagBudget::Hot, Some(_)) => self
-                .run_checkpointed(CheckpointPlan { fault, ..CheckpointPlan::default() })
-                .map(|r| r.pair),
+        if self.cfg.lag_budget == LagBudget::Cold && self.cfg.checkpoint_interval.is_none() {
+            return cold_pair(self, fault);
         }
+        self.run_group_pair(CheckpointPlan { fault, ..CheckpointPlan::default() }).map(|r| r.pair)
     }
+
+    /// Runs `plan` on a two-member group and maps its report back.
+    fn run_group_pair(&self, plan: CheckpointPlan) -> Result<CheckpointReport, VmError> {
+        let gcfg = GroupConfig {
+            size: 2,
+            kills: vec![plan.fault],
+            kill_standby_after_units: plan.kill_backup_after_units.map(|units| (0, units)),
+            reintegrate: plan.reintegrate,
+            ..GroupConfig::default()
+        };
+        let report = GroupTask::new(self.clone(), gcfg)?.run_to_completion()?.into_report()?;
+        CheckpointReport::from_pair_group(report)
+    }
+}
+
+/// The whole-log cold pair (the paper's baseline, §1): the primary runs
+/// unsliced to completion or crash; on a crash, detection fires from the
+/// heartbeats the backup actually received and the drained log is
+/// replayed from the initial state. Slicing this primary would perturb
+/// thread scheduling's per-block progress charge, so it stays outside the
+/// group driver.
+fn cold_pair(rt: &ReplicaRuntime, fault: FaultPlan) -> Result<PairReport, VmError> {
+    let world = World::shared();
+    let (primary, mut channel, primary_stats) = rt.run_primary(&world, fault)?;
+    let crashed = primary.outcome == RunOutcome::Stopped;
+    let (mut backup, mut backup_stats) = (None, None);
+    let (mut detection_latency, mut recovery_replay_time) = (SimTime::ZERO, SimTime::ZERO);
+    if crashed {
+        let crash_at = primary.acct.now();
+        let drained = channel.drain();
+        // The detector's deadline re-arms at each heartbeat arrival and
+        // fires when the next one never comes.
+        let mut monitor = rt.cfg.detector.monitor(SimTime::ZERO);
+        for (arrival, frame) in &drained {
+            if crate::codec::frame_is_heartbeat(frame) {
+                monitor.observe(*arrival);
+            }
+        }
+        detection_latency = monitor.deadline().max(crash_at) - crash_at;
+        let frames = drained.into_iter().map(|(_, frame)| frame).collect();
+        let (report, stats, recovered_at) = rt.replay_log(&world, frames)?;
+        recovery_replay_time = recovered_at.unwrap_or_else(|| report.acct.now());
+        (backup, backup_stats) = (Some(report), Some(stats));
+    }
+    Ok(PairReport {
+        primary,
+        primary_stats,
+        crashed,
+        backup,
+        backup_stats,
+        detection_latency,
+        recovery_replay_time,
+        failover_latency: detection_latency + recovery_replay_time,
+        channel: channel.stats(),
+        world,
+    })
 }
 
 /// What to do to a checkpointed pair while it runs
@@ -886,6 +883,49 @@ pub struct CheckpointReport {
 }
 
 impl CheckpointReport {
+    /// Maps a finished two-member group's report to the pair's: its one
+    /// reign is the primary, its standby the backup, and its failover (if
+    /// any) the detection and replay latencies.
+    fn from_pair_group(g: GroupReport) -> Result<Self, VmError> {
+        let GroupReport {
+            crashed,
+            failovers,
+            reigns,
+            standby,
+            standby_killed_at,
+            degraded_at,
+            reintegrated_at,
+            world,
+            ..
+        } = g;
+        let reign = reigns
+            .into_iter()
+            .next()
+            .ok_or_else(|| VmError::Internal("pair group ended without a reign".into()))?;
+        let (detection_latency, recovery_replay_time) = failovers
+            .first()
+            .map_or((SimTime::ZERO, SimTime::ZERO), |f| (f.detection_latency, f.suffix_replay));
+        let (backup, backup_stats) = standby.unzip();
+        Ok(CheckpointReport {
+            pair: PairReport {
+                primary: reign.report,
+                primary_stats: reign.stats,
+                crashed,
+                backup,
+                backup_stats,
+                detection_latency,
+                recovery_replay_time,
+                failover_latency: detection_latency + recovery_replay_time,
+                channel: reign.channels.first().copied().unwrap_or_default(),
+                world,
+            },
+            backup_killed_at: standby_killed_at,
+            degraded_entered_at: degraded_at,
+            reintegrated_at,
+            reintegrated: reintegrated_at.is_some(),
+        })
+    }
+
     /// Kill-to-live re-integration latency, when both endpoints exist.
     pub fn reintegration_latency(&self) -> Option<SimTime> {
         match (self.backup_killed_at, self.reintegrated_at) {
@@ -905,20 +945,4 @@ impl CheckpointReport {
             _ => None,
         }
     }
-}
-
-/// Replays heartbeat arrivals from a drained channel into `monitor` and
-/// returns the resulting detection deadline. Heartbeat frames are
-/// self-contained fixed-codec frames, so they decode independently of the
-/// replay stream's codec state.
-pub(crate) fn observe_heartbeats(
-    monitor: &mut HeartbeatMonitor,
-    drained: &[(SimTime, Bytes)],
-) -> SimTime {
-    for (arrival, frame) in drained {
-        if crate::codec::frame_is_heartbeat(frame) {
-            monitor.observe(*arrival);
-        }
-    }
-    monitor.deadline()
 }

@@ -3,8 +3,12 @@
 //! byzantine primary before any corrupted output byte escapes.
 
 use ftjvm::netsim::{FailureDetector, FaultPlan, SimTime, WireCodec};
+use ftjvm::replication::GroupEvent;
 use ftjvm::workloads::{micro, Workload};
-use ftjvm::{AckPolicy, FtConfig, FtJvm, GroupConfig, NetFaultPlan, ReplicationMode};
+use ftjvm::{
+    AckPolicy, CheckpointPlan, FtConfig, FtJvm, GroupConfig, GroupTask, LagBudget, NetFaultPlan,
+    ReplicationMode,
+};
 
 /// The adversarial link: `drop` loss plus duplication, corruption,
 /// reordering, and jitter (same shape as `tests/crashpoints.rs`).
@@ -236,6 +240,148 @@ fn equivocating_link_evicts_the_poisoned_standby() {
     assert!(report.completed, "the group must complete");
     assert_eq!(report.console(), free, "console unaffected by the equivocation");
     report.check_no_duplicate_outputs().expect("exactly-once");
+}
+
+// --- the pair is a two-member group ---------------------------------------
+
+/// What the pair entry points and a two-member group must agree on.
+#[derive(Debug, PartialEq, Eq)]
+struct PairView {
+    console: Vec<String>,
+    crashed: bool,
+    failover_latency: SimTime,
+    killed_at: Option<SimTime>,
+    degraded_at: Option<SimTime>,
+    reintegrated_at: Option<SimTime>,
+}
+
+/// Runs `plan` through `run_group` at size 2.
+fn group_view(h: &FtJvm, plan: &CheckpointPlan) -> PairView {
+    let report = h
+        .run_group(GroupConfig {
+            size: 2,
+            kills: vec![plan.fault],
+            kill_standby_after_units: plan.kill_backup_after_units.map(|units| (0, units)),
+            reintegrate: plan.reintegrate,
+            ..GroupConfig::default()
+        })
+        .unwrap_or_else(|e| panic!("two-member group: {e}"));
+    report.check_no_duplicate_outputs().expect("exactly-once");
+    assert_eq!(report.reigns.len(), 1, "a two-member group never promotes");
+    PairView {
+        console: report.console(),
+        crashed: report.crashed,
+        failover_latency: report
+            .failovers
+            .first()
+            .map_or(SimTime::ZERO, |f| f.detection_latency + f.suffix_replay),
+        killed_at: report.standby_killed_at,
+        degraded_at: report.degraded_at,
+        reintegrated_at: report.reintegrated_at,
+    }
+}
+
+/// A two-member group is the paper's pair: for hot pairs (a lagging
+/// lock-sync standby, a thread-scheduling standby) and for the
+/// kill → re-integrate → crash path, `run_group` at size 2 reports the
+/// same console, failover latency, and kill, degraded, and
+/// re-integration instants as the pair entry points.
+#[test]
+fn two_member_group_equals_the_pair() {
+    let hot = |w: &Workload, mode, codec, fault| {
+        let cfg =
+            FtConfig { mode, codec, lag_budget: LagBudget::Hot, fault, ..FtConfig::default() };
+        (FtJvm::new(w.program.clone(), cfg), CheckpointPlan { fault, ..CheckpointPlan::default() })
+    };
+    for (name, (h, plan)) in [
+        (
+            "mtrt lock-sync Compact",
+            hot(
+                &ftjvm::workloads::mtrt::workload(),
+                ReplicationMode::LockSync,
+                WireCodec::Compact,
+                FaultPlan::BeforeOutput(0),
+            ),
+        ),
+        (
+            "jack thread-sched Compact",
+            hot(
+                &ftjvm::workloads::jack::workload(),
+                ReplicationMode::ThreadSched,
+                WireCodec::Compact,
+                FaultPlan::AfterInstructions(400_000),
+            ),
+        ),
+    ] {
+        let pair = h.run_with_failure().unwrap_or_else(|e| panic!("{name} pair: {e}"));
+        let want = PairView {
+            console: pair.console(),
+            crashed: pair.crashed,
+            failover_latency: pair.failover_latency,
+            killed_at: None,
+            degraded_at: None,
+            reintegrated_at: None,
+        };
+        assert!(want.crashed, "{name}: the crash must fire");
+        assert_eq!(group_view(&h, &plan), want, "{name}");
+    }
+
+    // The reintegration case of tests/pair_equivalence.rs.
+    let w = micro::file_journal(200);
+    let cfg = FtConfig {
+        mode: ReplicationMode::ThreadSched,
+        lag_budget: LagBudget::Hot,
+        checkpoint_interval: Some(3),
+        detector: FailureDetector::new(SimTime::from_millis(1), 2),
+        ..FtConfig::default()
+    };
+    let h = FtJvm::new(w.program.clone(), cfg);
+    let plan = CheckpointPlan {
+        fault: FaultPlan::BeforeOutput(120),
+        kill_backup_after_units: Some(512),
+        reintegrate: true,
+    };
+    let pair = h.run_checkpointed(plan.clone()).expect("reintegration pair");
+    let want = PairView {
+        console: pair.pair.console(),
+        crashed: pair.pair.crashed,
+        failover_latency: pair.pair.failover_latency,
+        killed_at: pair.backup_killed_at,
+        degraded_at: pair.degraded_entered_at,
+        reintegrated_at: pair.reintegrated_at,
+    };
+    assert!(want.crashed && want.reintegrated_at.is_some(), "the full path must run");
+    assert_eq!(group_view(&h, &plan), want, "reintegration case");
+}
+
+/// `GroupEvent::Degraded` carries the reverse detector's deadline — the
+/// instant the timeline and the report record — not the later slice
+/// boundary at which the primary noticed the lapse.
+#[test]
+fn degraded_event_carries_the_detector_deadline() {
+    let w = micro::file_journal(200);
+    let cfg = FtConfig { lag_budget: LagBudget::Hot, ..group_cfg(ReplicationMode::LockSync) };
+    let rt = FtJvm::new(w.program.clone(), cfg).runtime();
+    let gcfg = GroupConfig {
+        size: 2,
+        kill_standby_after_units: Some((0, 512)),
+        reintegrate: false,
+        ..GroupConfig::default()
+    };
+    let mut task = GroupTask::new(rt, gcfg).expect("two-member group");
+    let mut degraded = Vec::new();
+    loop {
+        match task.step(SimTime::MAX).expect("step") {
+            GroupEvent::Degraded { at } => degraded.push(at),
+            GroupEvent::Done => break,
+            _ => {}
+        }
+    }
+    let report = task.into_report().expect("report");
+    let killed = report.standby_killed_at.expect("kill fired");
+    let deadline = FailureDetector::new(SimTime::from_millis(1), 2).monitor(killed).deadline();
+    assert_eq!(degraded, vec![deadline], "one degraded entry, at the detector deadline");
+    assert_eq!(report.degraded_at, Some(deadline));
 }
 
 // --- configuration validation ---------------------------------------------
