@@ -2,7 +2,7 @@
 //! standalone reproducibility of any pair from `(fleet_seed, pair_id)`,
 //! and run-to-run determinism of the whole fleet.
 
-use ftjvm::netsim::SimTime;
+use ftjvm::netsim::{SharedStats, SimTime};
 use ftjvm::replication::fleet::{
     journal_program, run_fleet, split_seed, FleetConfig, PairPlan, RouterMode,
 };
@@ -119,4 +119,33 @@ fn fleet_seed_controls_fault_plan() {
         "a different fleet seed must change at least one pair's plan"
     );
     assert_ne!(split_seed(1, 0, 0), split_seed(2, 0, 0));
+}
+
+/// The 64-slot smoke fleet (rack 5 partitioned, the `fleet` bench bin's
+/// `smoke` scenario) pinned to the nanosecond: the whole shared-trunk
+/// ledger plus the commit-latency percentiles and the makespan. These are
+/// the trunk calendar's observable outputs, so a rewrite of the calendar
+/// must reproduce them exactly, at every thread count.
+#[test]
+fn smoke_fleet_trunk_is_pinned() {
+    for threads in [1, 2] {
+        let cfg = FleetConfig { partition_rack: Some(5), threads, ..FleetConfig::default() };
+        let r = run_fleet(&cfg).expect("smoke fleet runs");
+        let trunk = r.shared.expect("the smoke fleet runs on a shared trunk");
+        assert_eq!(
+            trunk,
+            SharedStats {
+                frames: 16_894,
+                bytes: 719_988,
+                queue_total: SimTime::from_nanos(24_055_180),
+                queue_peak: SimTime::from_nanos(112_146),
+                busy: SimTime::from_nanos(14_399_760),
+            },
+            "trunk ledger at {threads} threads"
+        );
+        assert_eq!(r.commit_p50, SimTime::from_nanos(141_200), "p50 at {threads} threads");
+        assert_eq!(r.commit_p99, SimTime::from_nanos(183_120), "p99 at {threads} threads");
+        assert_eq!(r.commit_max, SimTime::from_nanos(233_497), "max at {threads} threads");
+        assert_eq!(r.makespan, SimTime::from_nanos(51_855_099), "makespan at {threads} threads");
+    }
 }
