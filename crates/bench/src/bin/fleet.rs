@@ -14,8 +14,10 @@
 //! Every scenario is measured across a worker-thread sweep (1, 2, and
 //! host parallelism). The simulated results MUST be byte-identical at
 //! every thread count — the binary itself hard-fails on any mismatch,
-//! independent of `--check` — so only wall-clock may vary. A serial vs
-//! parallel promotion suffix-decode measurement rides along.
+//! independent of `--check` — so only wall-clock may vary. Each scenario
+//! is also timed without the shared trunk, to price the trunk calendar's
+//! bookkeeping. A serial vs parallel promotion suffix-decode measurement
+//! rides along.
 //!
 //! Flags:
 //!
@@ -24,8 +26,10 @@
 //! * `--check` re-measures and exits nonzero if correctness counts
 //!   (completed / divergent / lost / failovers absorbed / served) differ
 //!   from the committed JSON, or commit-latency percentiles regressed
-//!   more than 25%, or (on hosts with 4+ cores) scheduling at max
-//!   threads failed to cut wall-clock at least 20% below single-thread.
+//!   more than 25%, or the 512-pair scenario's trunk run took more than
+//!   1.25x the wall-clock of its no-trunk run, or (on hosts with 4+
+//!   cores) scheduling at max threads failed to cut wall-clock at least
+//!   20% below single-thread.
 //!   The whole simulation is deterministic in simulated time, so
 //!   everything but wall-clock is machine-independent; the latency
 //!   tolerance only keeps innocuous cost-model tuning from needing a
@@ -83,6 +87,46 @@ struct Row {
     report: FleetReport,
     /// (threads, wall-clock ms) across the sweep.
     wall_ms_by_threads: Vec<(usize, f64)>,
+    /// Best single-thread wall-clock ms with and without the trunk.
+    trunk_cost: TrunkCost,
+}
+
+/// The trunk calendar's price: the scenario at one thread, as configured
+/// and with every pair on its own uncontended link.
+struct TrunkCost {
+    trunk_ms: f64,
+    unshared_ms: f64,
+}
+
+impl TrunkCost {
+    fn ratio(&self) -> f64 {
+        self.trunk_ms / self.unshared_ms.max(0.001)
+    }
+}
+
+/// Runs in each side of the trunk-cost measurement; the best run counts.
+const TRUNK_COST_RUNS: usize = 3;
+/// Largest trunk / no-trunk wall-clock ratio `--check` accepts.
+const TRUNK_RATIO_LIMIT: f64 = 1.25;
+
+fn wall_ms(cfg: &FleetConfig) -> (FleetReport, f64) {
+    let start = Instant::now();
+    let report = run_fleet(cfg).expect("fleet scenario runs");
+    (report, start.elapsed().as_secs_f64() * 1e3)
+}
+
+/// Best of [`TRUNK_COST_RUNS`] interleaved single-thread runs per side.
+fn measure_trunk_cost(sc: &Scenario) -> TrunkCost {
+    let trunk = FleetConfig { threads: 1, ..sc.cfg.clone() };
+    let unshared = FleetConfig { shared_per_byte: None, ..trunk.clone() };
+    let mut cost = TrunkCost { trunk_ms: f64::INFINITY, unshared_ms: f64::INFINITY };
+    for _ in 0..TRUNK_COST_RUNS {
+        cost.trunk_ms = cost.trunk_ms.min(wall_ms(&trunk).1);
+        let (report, ms) = wall_ms(&unshared);
+        assert!(report.all_verified(), "[{}] no-trunk run failed verification", sc.name);
+        cost.unshared_ms = cost.unshared_ms.min(ms);
+    }
+    cost
 }
 
 /// Everything observable about a run except pool layout and host time.
@@ -112,10 +156,8 @@ fn measure(sc: Scenario) -> Row {
     let mut wall_ms_by_threads = Vec::new();
     let mut reference: Option<(FleetReport, String)> = None;
     for threads in thread_sweep() {
-        let cfg = FleetConfig { threads, ..sc.cfg.clone() };
-        let start = Instant::now();
-        let report = run_fleet(&cfg).expect("fleet scenario runs");
-        wall_ms_by_threads.push((threads, start.elapsed().as_secs_f64() * 1e3));
+        let (report, ms) = wall_ms(&FleetConfig { threads, ..sc.cfg.clone() });
+        wall_ms_by_threads.push((threads, ms));
         match &reference {
             None => {
                 let d = digest(&report);
@@ -134,7 +176,8 @@ fn measure(sc: Scenario) -> Row {
         }
     }
     let (report, _) = reference.expect("sweep is non-empty");
-    Row { name: sc.name.to_string(), cfg: sc.cfg, report, wall_ms_by_threads }
+    let trunk_cost = measure_trunk_cost(&sc);
+    Row { name: sc.name.to_string(), cfg: sc.cfg, report, wall_ms_by_threads, trunk_cost }
 }
 
 /// Serial vs parallel promotion-path suffix decode: a synthetic sealed
@@ -257,7 +300,13 @@ fn render_text(rows: &[Row], suffix: &SuffixBench) -> String {
                 s.queue_peak
             ));
         }
-        out.push_str(&format!("  wall clock: {}\n\n", render_walls(&r.wall_ms_by_threads)));
+        out.push_str(&format!("  wall clock: {}\n", render_walls(&r.wall_ms_by_threads)));
+        out.push_str(&format!(
+            "  trunk cost (1t, best of {TRUNK_COST_RUNS}): {:.0}ms with trunk / {:.0}ms without = {:.2}x\n\n",
+            r.trunk_cost.trunk_ms,
+            r.trunk_cost.unshared_ms,
+            r.trunk_cost.ratio()
+        ));
     }
     out.push_str(&format!(
         "[promotion suffix decode] {} frames / {} records (sealed compact batches)\n  wall clock: {}\n",
@@ -306,6 +355,8 @@ fn render_json(rows: &[Row], suffix: &SuffixBench) -> String {
         }
         let serial = r.wall_ms_by_threads.first().map_or(0.0, |(_, ms)| *ms);
         out.push_str(&format!("      \"wall_ms\": {serial:.0},\n"));
+        out.push_str(&format!("      \"unshared_wall_ms\": {:.0},\n", r.trunk_cost.unshared_ms));
+        out.push_str(&format!("      \"trunk_wall_ratio\": {:.2},\n", r.trunk_cost.ratio()));
         out.push_str(&format!("      \"threads\": [{}],\n", threads_list(&r.wall_ms_by_threads)));
         out.push_str(&format!(
             "      \"wall_ms_by_threads\": {{ {} }}\n",
@@ -383,6 +434,27 @@ fn check(rows: &[Row]) -> bool {
             println!("[{}] {key}: committed {want:.0}, measured {measured:.0}", r.name);
             if measured > want * 1.25 {
                 eprintln!("FAIL [{}]: {key} regressed more than 25%", r.name);
+                failed = true;
+            }
+        }
+        // Trunk-cost gate: a ratio of two runs on the same host, so it
+        // means the same on any machine. Small scenarios are dominated by
+        // fixed costs and skipped.
+        if rep.pairs >= 128 {
+            let cost = &r.trunk_cost;
+            println!(
+                "[{}] trunk cost: {:.0}ms with trunk / {:.0}ms without = {:.2}x (limit {TRUNK_RATIO_LIMIT}x)",
+                r.name,
+                cost.trunk_ms,
+                cost.unshared_ms,
+                cost.ratio()
+            );
+            if cost.ratio() > TRUNK_RATIO_LIMIT {
+                eprintln!(
+                    "FAIL [{}]: trunk run {:.2}x the no-trunk run (limit {TRUNK_RATIO_LIMIT}x)",
+                    r.name,
+                    cost.ratio()
+                );
                 failed = true;
             }
         }

@@ -26,9 +26,10 @@
 //!   instant (pairs are racked `pair_id % racks`), modeling correlated
 //!   loss of a failure domain.
 //! * **Shared capacity** — an optional fleet trunk
-//!   ([`ftjvm_netsim::SharedBandwidth`]) that every pair's replication
-//!   channel serializes through, so one pair's log burst queues behind
-//!   another's (contention). Off, pairs are timing-independent.
+//!   ([`ftjvm_netsim::Trunk`], one [`ftjvm_netsim::TrunkPort`] per
+//!   pair) that every pair's replication channel serializes through, so
+//!   one pair's log burst queues behind another's (contention). Off,
+//!   pairs are timing-independent.
 //! * **Request router** — each journal write a pair commits serves one
 //!   client request. Open-loop clients arrive on a fixed interarrival;
 //!   closed-loop clients issue the next request a think time after the
